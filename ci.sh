@@ -37,13 +37,6 @@ out=$(cargo run -q --release --offline -p bf4-engine --bin bf4 -- \
     || [ $? -eq 1 ]
 echo "$out" | head -2
 
-echo "==> CLI incremental-solver smoke test (--solver-mode incremental)"
-# The incremental backend must keep the CLI's exit-code contract.
-out=$(cargo run -q --release --offline -p bf4-engine --bin bf4 -- \
-    crates/corpus/programs/simple_nat.p4 --solver-mode incremental --quiet) \
-    || [ $? -eq 1 ]
-echo "$out" | head -2
-
 echo "==> engine test suite under --jobs 2"
 # The engine's own differential/panic/eviction tests exercise the
 # parallel scheduler; run them by name so a rename fails loudly here.
@@ -55,19 +48,34 @@ cargo test -q -p bf4-engine --offline --test engine_integration \
     -- --exact panicking_job_degrades_one_program_without_wedging_the_pool
 
 echo "==> incremental-solver differential suites"
-# The load-bearing --solver-mode contracts by name: assumption-literal
-# verdicts (and Sat models) match fresh contexts on random sessions,
-# lemma flushing preserves verdicts/models, and all three backends yield
-# byte-identical normalized reports through the engine.
+# The load-bearing contracts of the one solver path by name:
+# assumption-literal verdicts (and Sat models) match fresh contexts on
+# random sessions, unsat cores equal the reference oracle's plain deletion
+# cores, failed-assumption sets are Unsat on their own, lemma flushing
+# preserves verdicts/models, and the whole corpus reproduces the golden
+# fixture through the parallel engine. A worker context outlives a
+# program, so one variable name at two widths must blast to two vectors.
 cargo test -q -p bf4-smt --offline --test incremental_props \
     incremental_matches_fresh_context \
     -- --exact incremental_matches_fresh_context
+cargo test -q -p bf4-smt --offline --test incremental_props \
+    incremental_cores_match_plain_deletion \
+    -- --exact incremental_cores_match_plain_deletion
+cargo test -q -p bf4-smt --offline --test incremental_props \
+    failed_assumptions_alone_are_unsat \
+    -- --exact failed_assumptions_alone_are_unsat
 cargo test -q -p bf4-smt --offline --lib \
     drop_learned_preserves_verdicts_and_models \
     -- --exact sat::tests::drop_learned_preserves_verdicts_and_models
 cargo test -q -p bf4-engine --offline --test engine_integration \
-    solver_modes_produce_identical_reports \
-    -- --exact solver_modes_produce_identical_reports
+    corpus_reports_match_the_golden_fixture \
+    -- --exact corpus_reports_match_the_golden_fixture
+cargo test -q -p bf4-smt --offline --lib \
+    one_name_at_two_widths_gets_two_bit_vectors \
+    -- --exact incremental::tests::one_name_at_two_widths_gets_two_bit_vectors
+cargo test -q -p bf4-engine --offline --test engine_integration \
+    one_name_at_two_widths_verifies_as_each_program_alone \
+    -- --exact one_name_at_two_widths_verifies_as_each_program_alone
 
 echo "==> fault-injection + persistence test suites"
 # The chaos/fault suites live in their own test binaries (the fault plan
@@ -129,32 +137,24 @@ cargo run -q --release --offline -p bf4-bench --bin report -- \
 head -3 "$tmpdir/profile.txt"
 grep '^cache:' "$tmpdir/profile.txt"  # the unified cache-hit accounting line
 
-echo "==> sequential-vs-parallel corpus differential"
+echo "==> golden corpus differential (sequential and --jobs 4)"
 # Normalized corpus reports (sorted bug/degraded lines, no timings) must
-# be byte-identical between --jobs 1 and a parallel cached run — the
-# parallel run with tracing enabled, so observability provably cannot
-# perturb reports.
+# be byte-identical to the committed fixture, both from --jobs 1 and from
+# a parallel cached run — the parallel run with tracing enabled, so
+# observability provably cannot perturb reports. The fixture holds the
+# reports of the retired one-shot solver path; a change that moves a
+# verdict or an inferred annotation fails here.
+golden=tests/golden/corpus_normalized.txt
 cargo run -q --release --offline -p bf4-bench --bin report -- corpus \
     > "$tmpdir/seq.txt" 2>/dev/null
+diff -u "$golden" "$tmpdir/seq.txt"
 cargo run -q --release --offline -p bf4-bench --bin report -- corpus \
     --jobs 4 --cache-cap 65536 --trace-out "$tmpdir/corpus-trace.jsonl" \
     > "$tmpdir/par.txt" 2>/dev/null
-diff -u "$tmpdir/seq.txt" "$tmpdir/par.txt"
+diff -u "$golden" "$tmpdir/par.txt"
 cargo run -q --release --offline -p bf4-bench --bin report -- \
     trace-lint "$tmpdir/corpus-trace.jsonl" --require-layers frontend,ir,smt,engine
-echo "differential OK ($(wc -l < "$tmpdir/seq.txt") report lines identical)"
-
-echo "==> cross-solver-mode corpus differential"
-# The same normalized corpus reports must come out of the incremental and
-# portfolio backends, byte for byte — the contract that makes
-# --solver-mode a pure performance knob.
-cargo run -q --release --offline -p bf4-bench --bin report -- corpus \
-    --solver-mode incremental --jobs 4 > "$tmpdir/inc.txt" 2>/dev/null
-diff -u "$tmpdir/seq.txt" "$tmpdir/inc.txt"
-cargo run -q --release --offline -p bf4-bench --bin report -- corpus \
-    --solver-mode portfolio --jobs 4 > "$tmpdir/race.txt" 2>/dev/null
-diff -u "$tmpdir/seq.txt" "$tmpdir/race.txt"
-echo "solver-mode differential OK (oneshot = incremental = portfolio)"
+echo "differential OK ($(wc -l < "$golden") report lines identical to the fixture)"
 
 echo "==> chaos gate (seeded fault schedules, conservative degradation only)"
 # Three seeded schedules over the whole corpus: every report must be
@@ -178,21 +178,6 @@ echo "==> cache regress gate (fresh numbers vs committed baseline)"
 # worse than bench/baselines/BENCH_cache.json beyond the tolerance band.
 cargo run -q --release --offline -p bf4-bench --bin report -- regress \
     --fresh "$tmpdir/BENCH_cache.json" --baseline bench/baselines/BENCH_cache.json
-
-echo "==> solverbench gate (incremental strictly faster, reports identical)"
-# Three full corpus runs, one per --solver-mode: the incremental backend
-# must strictly beat oneshot wall-clock with nonzero context reuse, and
-# all three report sets must be byte-identical; exits 1 otherwise.
-cargo run -q --release --offline -p bf4-bench --bin report -- solverbench \
-    --jobs 4 --out "$tmpdir/BENCH_solver.json"
-
-echo "==> solver regress gate (fresh numbers vs committed baseline)"
-# Report identity, incremental speedup and context reuse may not be worse
-# than bench/baselines/BENCH_solver.json beyond the band. Wall-clock
-# ratios wobble on a loaded single-core box, hence the wider band.
-cargo run -q --release --offline -p bf4-bench --bin report -- regress \
-    --fresh "$tmpdir/BENCH_solver.json" \
-    --baseline bench/baselines/BENCH_solver.json --tolerance 0.5
 
 echo "==> shim stress campaign (BF4_FAULTS torn commits mid-burst, crash/reopen gates)"
 # The staged-load campaign under an ambient chaos plan — armed from

@@ -19,11 +19,11 @@
 //!                      (optionally written as BENCH_shim.json); exit 1 on
 //!                      any gate violation
 //! report casestudies   §5.1: the three interesting-bug case studies
-//! report corpus [--jobs N] [--cache-cap N] [--solver-mode M] [--trace-out FILE]
+//! report corpus [--jobs N] [--cache-cap N] [--trace-out FILE]
 //!                      normalized corpus reports on stdout (stable across
-//!                      worker counts, cache configs and solver modes;
-//!                      engine stats go to stderr) — the basis of ci.sh's
-//!                      sequential-vs-parallel and cross-mode diffs
+//!                      worker counts and cache configs; engine stats go
+//!                      to stderr) — what ci.sh diffs against the golden
+//!                      fixture tests/golden/corpus_normalized.txt
 //! report engine        speedup-vs-jobs table (jobs ∈ {1,2,4}, cache
 //!                      on/off) with per-stage latencies and cache stats
 //! report profile <trace.jsonl> [--request ID]
@@ -51,13 +51,6 @@
 //!                      (optionally written as BENCH_cache.json); exit 1
 //!                      unless the warm hit rate strictly beats the cold
 //!                      one and the reports stay identical
-//! report solverbench [--out FILE] [--jobs N]
-//!                      corpus wall-clock in all three solver modes
-//!                      (oneshot, incremental, portfolio; optionally
-//!                      written as BENCH_solver.json); exit 1 unless the
-//!                      incremental run strictly beats oneshot, reuses
-//!                      solver contexts, and every normalized report is
-//!                      byte-identical across the modes
 //! report daemonbench [--out FILE]
 //!                      cold full-verify vs warm incremental re-verify over
 //!                      a scripted edit of every corpus program, through an
@@ -111,7 +104,6 @@ fn main() {
         "faults" => faults(),
         "chaos" => chaos(),
         "cachebench" => cachebench(),
-        "solverbench" => solverbench(),
         "daemonbench" => daemonbench(),
         "normalize" => normalize_cmd(),
         "slo" => slo_cmd(),
@@ -475,23 +467,11 @@ fn corpus_programs() -> Vec<(String, String)> {
 fn corpus() {
     let args: Vec<String> = std::env::args().skip(2).collect();
     let mut config = EngineConfig::default();
-    let mut options = VerifyOptions::default();
+    let options = VerifyOptions::default();
     let mut trace_out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--solver-mode" => {
-                i += 1;
-                options.solver.mode = args
-                    .get(i)
-                    .and_then(|v| bf4_smt::SolverMode::parse(v))
-                    .unwrap_or_else(|| {
-                        eprintln!(
-                            "report corpus: --solver-mode expects oneshot, incremental or portfolio"
-                        );
-                        std::process::exit(2);
-                    });
-            }
             "--trace-out" => {
                 i += 1;
                 trace_out = args.get(i).cloned();
@@ -1059,135 +1039,6 @@ fn cachebench() {
     println!("cachebench OK: warm-start hit rate strictly exceeds cold");
 }
 
-/// Pull one run-delta counter out of the engine's metrics snapshot.
-fn solver_counter(stats: &bf4_engine::EngineStats, name: &str) -> u64 {
-    stats
-        .obs_metrics
-        .as_ref()
-        .and_then(|m| m.counters.get(name).copied())
-        .unwrap_or(0)
-}
-
-/// Corpus wall-clock in all three solver modes. The gates are the PR's
-/// solver hot-path criteria: incremental must strictly beat oneshot while
-/// visibly reusing solver contexts, and no mode may change a single
-/// normalized report (verdicts are mode-independent by contract).
-fn solverbench() {
-    let args: Vec<String> = std::env::args().skip(2).collect();
-    let mut out: Option<String> = None;
-    let mut jobs = 4usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned();
-                if out.is_none() {
-                    eprintln!("report solverbench: --out expects a file path");
-                    std::process::exit(2);
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("report solverbench: --jobs expects a count >= 1");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!("report solverbench: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    // Metrics give us the context-reuse and race counters per run (the
-    // engine snapshots a before/after delta around each corpus pass).
-    bf4_obs::set_metrics(true);
-    let config = EngineConfig {
-        jobs,
-        ..EngineConfig::default()
-    };
-    println!("== solverbench: corpus wall-clock per solver mode (jobs={jobs}) ==");
-    let programs = corpus_programs();
-    let modes = [
-        bf4_smt::SolverMode::Oneshot,
-        bf4_smt::SolverMode::Incremental,
-        bf4_smt::SolverMode::Portfolio,
-    ];
-    let mut runs = Vec::new();
-    for mode in modes {
-        let mut options = VerifyOptions::default();
-        options.solver.mode = mode;
-        let t = Instant::now();
-        let (reports, stats) = verify_corpus(&programs, &options, &config);
-        runs.push((mode, t.elapsed().as_secs_f64(), reports, stats));
-    }
-    let oneshot_wall = runs[0].1;
-    for (mode, wall, _, stats) in &runs {
-        let speedup = oneshot_wall / wall.max(1e-9);
-        println!(
-            "{:<11} wall={wall:>7.3}s speedup={speedup:>5.2}x ctx-reuse={} ctx-reset={} races={} (primary {}, challenger {})",
-            format!("{mode:?}").to_lowercase(),
-            solver_counter(stats, "smt.ctx.reuse"),
-            solver_counter(stats, "smt.ctx.reset"),
-            solver_counter(stats, "smt.race.spawned"),
-            solver_counter(stats, "smt.race.primary_win"),
-            solver_counter(stats, "smt.race.challenger_win"),
-        );
-    }
-    // The identity gate: the paper's verdicts may not depend on how the
-    // solver context is managed.
-    let mut identical = true;
-    for (mode, _, reports, _) in &runs[1..] {
-        for (i, (name, _)) in programs.iter().enumerate() {
-            if normalized_report(name, &runs[0].2[i]) != normalized_report(name, &reports[i]) {
-                eprintln!("solverbench: {name}: {mode:?} changed the report vs oneshot");
-                identical = false;
-            }
-        }
-    }
-    let inc_wall = runs[1].1;
-    let inc_speedup = oneshot_wall / inc_wall.max(1e-9);
-    let pf_wall = runs[2].1;
-    let pf_speedup = oneshot_wall / pf_wall.max(1e-9);
-    let inc_reuse = solver_counter(&runs[1].3, "smt.ctx.reuse");
-    if let Some(path) = out {
-        let json = format!(
-            "{{\n  \"bench\": \"solver\",\n  \"programs\": {},\n  \"jobs\": {jobs},\n  \"oneshot\": {{\"wall_seconds\": {oneshot_wall:.6}}},\n  \"incremental\": {{\"wall_seconds\": {inc_wall:.6}, \"speedup\": {inc_speedup:.4}, \"ctx_reuse\": {inc_reuse}, \"ctx_reset\": {}}},\n  \"portfolio\": {{\"wall_seconds\": {pf_wall:.6}, \"speedup\": {pf_speedup:.4}, \"races_spawned\": {}, \"primary_wins\": {}, \"challenger_wins\": {}}},\n  \"reports_identical\": {identical}\n}}\n",
-            programs.len(),
-            solver_counter(&runs[1].3, "smt.ctx.reset"),
-            solver_counter(&runs[2].3, "smt.race.spawned"),
-            solver_counter(&runs[2].3, "smt.race.primary_win"),
-            solver_counter(&runs[2].3, "smt.race.challenger_win"),
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("report solverbench: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {path}");
-    }
-    let mut failed = !identical;
-    if inc_wall >= oneshot_wall {
-        eprintln!(
-            "solverbench: incremental wall {inc_wall:.3}s must strictly beat oneshot {oneshot_wall:.3}s"
-        );
-        failed = true;
-    }
-    if inc_reuse == 0 {
-        eprintln!("solverbench: the incremental run reused no solver contexts");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("solverbench OK: incremental strictly beats oneshot with identical reports");
-}
-
 /// Cold full-verify vs warm incremental re-verify through an in-process
 /// daemon: submit every corpus program cold, apply a scripted edit to
 /// each, resubmit (incremental), and compare against a cold one-shot
@@ -1632,12 +1483,6 @@ fn regress_cmd() {
             ("speedup", Dir::Lower),
             ("warm_incremental.skips", Dir::Lower),
             ("telemetry.overhead", Dir::Upper),
-        ],
-        "solver" => vec![
-            ("reports_identical", Dir::Lower),
-            ("incremental.speedup", Dir::Lower),
-            ("incremental.ctx_reuse", Dir::Lower),
-            ("portfolio.speedup", Dir::Lower),
         ],
         "shim" => vec![
             ("throughput.speedup", Dir::Lower),

@@ -849,18 +849,14 @@ fn run_inference(
                 .and(&ra.node_cond[site.entry_block])
                 .and(&Term::and_all(spec_terms.clone()));
             let t_site = Instant::now();
-            // Infer's counterexample loop consumes models and unsat cores,
-            // and an incremental context's model choice depends on what it
-            // learned from earlier queries. Pinning these solvers to
-            // oneshot keeps inferred annotations — and therefore reports —
-            // byte-identical across `--solver-mode`s. The verdict-only
-            // reach/recheck paths keep the configured mode.
-            let infer_cfg = bf4_smt::SolverConfig {
-                mode: bf4_smt::SolverMode::Oneshot,
-                ..options.solver.clone()
-            };
-            let mut direct = new_solver(&infer_cfg);
-            let mut dual = new_solver(&infer_cfg);
+            // Infer consumes models and unsat cores, and an incremental
+            // context's model choice depends on its query history. Both
+            // solvers are built fresh for this site, so that history — and
+            // the inferred annotation — is a function of the OK and BUG
+            // formulas, the atoms and the iteration bound alone, whatever
+            // the worker, cache or daemon state.
+            let mut direct = new_solver(&options.solver);
+            let mut dual = new_solver(&options.solver);
             let res = infer(
                 &mut direct,
                 &mut dual,
@@ -1064,7 +1060,6 @@ mod tests {
                     max_queries: Some(0),
                     ..bf4_smt::ResourceBudget::default()
                 },
-                ..SolverConfig::default()
             },
             ..VerifyOptions::default()
         };

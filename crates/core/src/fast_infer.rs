@@ -23,8 +23,11 @@ use bf4_smt::{free_vars, substitute, Term, TermNode};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Upper bound on explored paths per table (defense against pathological
-/// expansions; never reached by the corpus).
+/// Upper bound on explored paths per walk. The corpus reaches it: one
+/// fabric_switch verification cuts 16 walks short here. Which paths fit
+/// under the cap decides which specs come out, so changing the cap (or the
+/// walk order) changes reports; `core.fast_infer.truncated` counts the
+/// walks it cuts short.
 const MAX_PATHS: usize = 8192;
 
 /// Result of Fast-Infer on one table site.
@@ -84,6 +87,7 @@ pub fn fast_infer_region(
 
     while let Some(mut frame) = stack.pop() {
         if result.paths >= MAX_PATHS {
+            bf4_obs::counter_add("core.fast_infer.truncated", 1);
             break;
         }
         // Walk instructions: assignments extend the substitution so later

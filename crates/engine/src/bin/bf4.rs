@@ -11,13 +11,6 @@
 //!   --egress               also analyze the egress pipeline (in separation)
 //!   --dump-cfg <file>      write the instrumented CFG in Graphviz DOT form
 //!   --timeout-ms <n>       per-query solver deadline in milliseconds
-//!   --solver-mode <m>      oneshot (default), incremental (persistent
-//!                          per-solver contexts discharging queries via
-//!                          assumption literals) or portfolio (incremental
-//!                          primary raced against a fresh-context
-//!                          challenger per query)
-//!   --solver-fallback <n|off>  max formula size routed to the internal
-//!                          fallback solver (`off` disables the fallback)
 //!   --jobs <n>             worker threads (default 1: the sequential path)
 //!   --cache-cap <n>        SMT query-cache capacity in entries (default 0: off)
 //!   --cache-dir <dir>      warm-start the query cache from a durable store in
@@ -139,35 +132,6 @@ fn main() {
                 options.solver.budget.timeout =
                     Some(std::time::Duration::from_millis(ms));
             }
-            "--solver-mode" => {
-                i += 1;
-                match args.get(i).and_then(|v| bf4_smt::SolverMode::parse(v)) {
-                    Some(mode) => options.solver.mode = mode,
-                    None => {
-                        eprintln!("bf4: --solver-mode expects oneshot, incremental or portfolio");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--solver-fallback" => {
-                i += 1;
-                match args.get(i).map(|s| s.as_str()) {
-                    Some("off") => options.solver.budget.fallback_max_size = 0,
-                    Some(v) => match v.parse::<usize>() {
-                        Ok(n) => options.solver.budget.fallback_max_size = n,
-                        Err(_) => {
-                            eprintln!(
-                                "bf4: --solver-fallback expects a formula-size limit or `off`"
-                            );
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("bf4: --solver-fallback expects a value");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--jobs" => {
                 i += 1;
                 match args.get(i).map(|v| v.parse::<usize>()) {
@@ -213,7 +177,7 @@ fn main() {
             "--egress" => options.include_egress = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                eprintln!("usage: bf4 <program.p4> [more.p4 ...] [--annotations FILE] [--no-fixes] [--no-infer] [--egress] [--dump-cfg FILE] [--timeout-ms N] [--solver-mode oneshot|incremental|portfolio] [--solver-fallback N|off] [--jobs N] [--cache-cap N] [--cache-dir DIR] [--no-cache-persist] [--trace-out FILE] [--profile] [--quiet]");
+                eprintln!("usage: bf4 <program.p4> [more.p4 ...] [--annotations FILE] [--no-fixes] [--no-infer] [--egress] [--dump-cfg FILE] [--timeout-ms N] [--jobs N] [--cache-cap N] [--cache-dir DIR] [--no-cache-persist] [--trace-out FILE] [--profile] [--quiet]");
                 eprintln!("       bf4 client (--socket PATH | --tcp ADDR) submit FILE [--program NAME] [--normalized] | status NAME | watch FILE [--program NAME] [--interval-ms N] | stats | metrics | ping | shutdown");
                 eprintln!("       bf4 top (--socket PATH | --tcp ADDR) [--interval-ms N] [--iterations N]");
                 std::process::exit(0);

@@ -1,6 +1,7 @@
 //! Integration tests for the parallel engine: differential equivalence
-//! against the sequential driver, panic isolation, and cache eviction
-//! under a tiny capacity — all through the public `verify_corpus` API.
+//! against the sequential driver and the golden corpus fixture, panic
+//! isolation, and cache eviction under a tiny capacity — all through the
+//! public `verify_corpus` API.
 
 use bf4_core::driver::VerifyOptions;
 use bf4_engine::{normalized_report as normalize, verify_corpus, EngineConfig};
@@ -151,41 +152,89 @@ fn tiny_cache_capacity_evicts_but_stays_correct() {
 }
 
 #[test]
-fn solver_modes_produce_identical_reports() {
-    // The differential contract behind `--solver-mode`: oneshot,
-    // incremental and portfolio backends must yield byte-identical
-    // normalized reports on the same corpus slice. Run incremental with
-    // jobs > 1 so worker-held contexts survive across programs and the
-    // reset path is exercised, not just the happy path.
-    let programs = subset();
-    let options = VerifyOptions::default();
-    let config = EngineConfig::default();
-    let (base_reports, _) = verify_corpus(&programs, &options, &config);
-    let baseline: Vec<String> = programs
+fn corpus_reports_match_the_golden_fixture() {
+    // The whole corpus, normalized, must match the committed fixture byte
+    // for byte — the reports the retired one-shot solver path produced.
+    // Run with jobs > 1 so worker-held solver contexts survive across
+    // programs and the reset path is exercised, not just the happy path.
+    let programs: Vec<(String, String)> = bf4_corpus::all()
+        .into_iter()
+        .map(|p| (p.name.to_string(), p.source.to_string()))
+        .collect();
+    let config = EngineConfig {
+        jobs: 3,
+        cache_cap: 4096,
+        ..EngineConfig::default()
+    };
+    let (reports, _) = verify_corpus(&programs, &VerifyOptions::default(), &config);
+    let got: String = programs
         .iter()
-        .zip(&base_reports)
+        .zip(&reports)
         .map(|((name, _), r)| normalize(name, r))
         .collect();
+    let want = include_str!("../../../tests/golden/corpus_normalized.txt");
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "line {} of the normalized corpus diverged", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+}
 
-    for mode in [
-        bf4_smt::SolverMode::Incremental,
-        bf4_smt::SolverMode::Portfolio,
-    ] {
-        let mut options = VerifyOptions::default();
-        options.solver.mode = mode;
-        for jobs in [1, 3] {
-            let config = EngineConfig {
-                jobs,
-                ..EngineConfig::default()
-            };
-            let (reports, _) = verify_corpus(&programs, &options, &config);
-            for (i, (name, _)) in programs.iter().enumerate() {
-                assert_eq!(
-                    baseline[i],
-                    normalize(name, &reports[i]),
-                    "{mode:?} report for {name} (jobs={jobs}) diverged from oneshot"
-                );
-            }
+/// A program whose header field `hdr.h.f` and table `forward` (its key
+/// variable is named after the table and site) have the given width, with
+/// an assertion that fails for `lo <= f <= hi`.
+fn width_program(width: u32, lo: u32, hi: u32) -> String {
+    format!(
+        "header h_t {{ bit<{width}> f; }}
+struct meta_t {{ }}
+struct headers {{ h_t h; }}
+parser ParserImpl(packet_in packet, out headers hdr, inout meta_t meta, inout standard_metadata_t standard_metadata) {{
+    state start {{ packet.extract(hdr.h); transition accept; }}
+}}
+control ingress(inout headers hdr, inout meta_t meta, inout standard_metadata_t standard_metadata) {{
+    action fwd(bit<9> port) {{ standard_metadata.egress_spec = port; }}
+    table forward {{ key = {{ hdr.h.f: exact; }} actions = {{ fwd; }} default_action = fwd(1); }}
+    apply {{ forward.apply(); assert(hdr.h.f < {lo} || hdr.h.f > {hi}); }}
+}}
+control egress(inout headers hdr, inout meta_t meta, inout standard_metadata_t standard_metadata) {{ apply {{ }} }}
+control verifyChecksum(inout headers hdr, inout meta_t meta) {{ apply {{ }} }}
+control computeChecksum(inout headers hdr, inout meta_t meta) {{ apply {{ }} }}
+control DeparserImpl(packet_out packet, in headers hdr) {{ apply {{ packet.emit(hdr.h); }} }}
+V1Switch(ParserImpl(), verifyChecksum(), ingress(), egress(), computeChecksum(), DeparserImpl()) main;
+"
+    )
+}
+
+#[test]
+fn one_name_at_two_widths_verifies_as_each_program_alone() {
+    // A worker's solver context outlives a program, so the second program
+    // must not inherit the first one's 8-bit encoding of `hdr.h.f`.
+    let programs = vec![
+        ("narrow".to_string(), width_program(8, 100, 200)),
+        ("wide".to_string(), width_program(16, 300, 400)),
+    ];
+    let options = VerifyOptions::default();
+    let alone: Vec<String> = programs
+        .iter()
+        .map(|p| {
+            let (reports, _) =
+                verify_corpus(std::slice::from_ref(p), &options, &EngineConfig::default());
+            assert!(reports[0].degraded.is_empty(), "{} degraded alone", p.0);
+            assert_eq!(reports[0].bugs_total, 1, "{}: the assertion fails", p.0);
+            normalize(&p.0, &reports[0])
+        })
+        .collect();
+    for jobs in [1, 2] {
+        let config = EngineConfig {
+            jobs,
+            ..EngineConfig::default()
+        };
+        let (reports, _) = verify_corpus(&programs, &options, &config);
+        for (i, (name, _)) in programs.iter().enumerate() {
+            assert_eq!(
+                normalize(name, &reports[i]),
+                alone[i],
+                "{name} with jobs={jobs} diverged from its run alone"
+            );
         }
     }
 }

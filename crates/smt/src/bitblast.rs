@@ -8,9 +8,10 @@
 //! (`a = q*b + r ∧ r < b` when `b ≠ 0`, with the SMT-LIB convention for
 //! `b = 0`).
 //!
-//! The solver re-blasts its assertion stack on every `check`; it trades
-//! incrementality for simplicity, which is the right trade for its role as
-//! a cross-checking oracle.
+//! The solver re-blasts its assertion stack on every `check` and shrinks
+//! unsat cores by plain deletion; it trades incrementality for simplicity,
+//! which is the right trade for its role as the reference oracle the
+//! pipeline's [`crate::incremental::IncrementalSolver`] is tested against.
 
 use crate::cnf::{CnfBuilder, Lit};
 use crate::sat::{CdclSolver, SolveLimits, SolveResult};
@@ -43,11 +44,15 @@ impl Bits {
     }
 }
 
+/// Bits of each blasted variable, keyed by name *and* sort: one context
+/// can outlive a program, and two programs may use one name at two widths.
+pub(crate) type VarBits = HashMap<(Arc<str>, Sort), Bits>;
+
 /// Bit-blasting context.
 pub(crate) struct Blaster {
     pub(crate) cnf: CnfBuilder,
     memo: HashMap<u64, Bits>,
-    pub(crate) vars: HashMap<Arc<str>, Bits>,
+    pub(crate) vars: VarBits,
     lit_true: Option<Lit>,
 }
 
@@ -87,14 +92,15 @@ impl Blaster {
     }
 
     fn var_bits(&mut self, name: &Arc<str>, sort: Sort) -> Bits {
-        if let Some(b) = self.vars.get(name) {
+        let key = (name.clone(), sort);
+        if let Some(b) = self.vars.get(&key) {
             return b.clone();
         }
         let b = match sort {
             Sort::Bool => Bits::B(self.cnf.fresh()),
             Sort::Bv(w) => Bits::V((0..w).map(|_| self.cnf.fresh()).collect()),
         };
-        self.vars.insert(name.clone(), b.clone());
+        self.vars.insert(key, b.clone());
         b
     }
 
@@ -358,6 +364,32 @@ impl Blaster {
     }
 }
 
+/// Read `vars` out of the satisfying assignment `sat` holds. A variable
+/// the formula never mentioned is unconstrained and reads as false / zero.
+pub(crate) fn read_model(
+    blasted: &VarBits,
+    sat: &CdclSolver,
+    vars: &[(Arc<str>, Sort)],
+) -> Assignment {
+    let holds = |l: &Lit| sat.value(l.var()) == l.is_pos();
+    let mut out = Assignment::new();
+    for (name, sort) in vars {
+        let v = match (blasted.get(&(name.clone(), *sort)), sort) {
+            (Some(Bits::B(l)), _) => Value::Bool(holds(l)),
+            (Some(Bits::V(bits)), _) => Value::bv(
+                bits.len() as u32,
+                bits.iter()
+                    .rev()
+                    .fold(0, |x, l| x << 1 | u128::from(holds(l))),
+            ),
+            (None, Sort::Bool) => Value::Bool(false),
+            (None, Sort::Bv(w)) => Value::bv(*w, 0),
+        };
+        out.insert(name.clone(), v);
+    }
+    out
+}
+
 /// A [`Solver`] running on the internal CDCL engine via bit-blasting.
 #[derive(Default)]
 pub struct BitBlastSolver {
@@ -367,17 +399,13 @@ pub struct BitBlastSolver {
     last: Option<LastSolve>,
     /// Resource limits applied to every check (default: unlimited).
     budget: ResourceBudget,
-    /// Cooperative cancellation flag handed to every CDCL call. Set by a
-    /// portfolio race when the other solver answered first, so a losing
-    /// challenger stops burning CPU mid-search.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     /// Why the last check returned `Unknown`, when it did.
     last_error: Option<SolverError>,
 }
 
 struct LastSolve {
     solver: CdclSolver,
-    vars: HashMap<Arc<str>, Bits>,
+    vars: VarBits,
     result: SatResult,
     /// assumption index -> CNF literal
     assumption_lits: Vec<Lit>,
@@ -390,15 +418,8 @@ impl BitBlastSolver {
             frames: vec![Vec::new()],
             last: None,
             budget: ResourceBudget::default(),
-            cancel: None,
             last_error: None,
         }
-    }
-
-    /// Make every subsequent check poll `flag` and abort with `Unknown`
-    /// once it reads `true` (polled at the deadline cadence).
-    pub fn set_cancel(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.cancel = Some(flag);
     }
 
     /// Current formula size (term DAG nodes over the assertion stack plus
@@ -436,7 +457,6 @@ impl BitBlastSolver {
         let limits = SolveLimits {
             deadline,
             max_conflicts: self.budget.max_conflicts,
-            cancel: self.cancel.clone(),
         };
         let mut solver = CdclSolver::new(blaster.cnf.num_vars, blaster.cnf.clauses.clone());
         let result = match solver.solve_limited(&assumption_lits, &limits) {
@@ -500,7 +520,6 @@ impl Solver for BitBlastSolver {
         let limits = SolveLimits {
             deadline: self.budget.timeout.map(|t| Instant::now() + t),
             max_conflicts: self.budget.max_conflicts,
-            cancel: self.cancel.clone(),
         };
         let all = last.assumption_lits.clone();
         let mut kept: Vec<usize> = (0..all.len()).collect();
@@ -524,41 +543,12 @@ impl Solver for BitBlastSolver {
     }
 
     fn model(&mut self, vars: &[(Arc<str>, Sort)]) -> Result<Assignment, SolverError> {
-        let last = self.last.as_ref().ok_or(SolverError::NoModel)?;
-        if last.result != SatResult::Sat {
-            return Err(SolverError::NoModel);
+        match &self.last {
+            Some(last) if last.result == SatResult::Sat => {
+                Ok(read_model(&last.vars, &last.solver, vars))
+            }
+            _ => Err(SolverError::NoModel),
         }
-        let mut out = Assignment::new();
-        for (name, sort) in vars {
-            let v = match (last.vars.get(name), sort) {
-                (Some(Bits::B(l)), Sort::Bool) => {
-                    let b = last.solver.value(l.var());
-                    Value::Bool(if l.is_pos() { b } else { !b })
-                }
-                (Some(Bits::V(bits)), Sort::Bv(w)) => {
-                    let mut x: u128 = 0;
-                    for (i, l) in bits.iter().enumerate() {
-                        let b = last.solver.value(l.var());
-                        let b = if l.is_pos() { b } else { !b };
-                        if b {
-                            x |= 1 << i;
-                        }
-                    }
-                    Value::bv(*w, x)
-                }
-                (None, Sort::Bool) => Value::Bool(false),
-                (None, Sort::Bv(w)) => Value::bv(*w, 0),
-                (Some(_), _) => {
-                    let err = SolverError::SortMismatch(format!(
-                        "model extraction: stored bits for `{name}` disagree with requested sort {sort:?}"
-                    ));
-                    self.last_error = Some(err.clone());
-                    return Err(err);
-                }
-            };
-            out.insert(name.clone(), v);
-        }
-        Ok(out)
     }
 
     fn set_budget(&mut self, budget: ResourceBudget) {

@@ -1,5 +1,6 @@
-//! [`IncrementalSolver`]: a [`Solver`] over the internal CDCL engine that
-//! retains its bit-blast structure and learned clauses across queries.
+//! [`IncrementalSolver`]: the pipeline's one solver, over the internal CDCL
+//! engine, retaining its bit-blast structure and learned clauses across
+//! queries. [`crate::governed::GovernedSolver`] wraps it for every caller.
 //!
 //! Where [`crate::bitblast::BitBlastSolver`] re-blasts the whole assertion
 //! stack on every `check`, this solver keeps one persistent [`Blaster`] and
@@ -14,17 +15,22 @@
 //!
 //! The payoff is that the shared round prefix of the per-bug reach queries
 //! is encoded and bit-blasted once, and the CDCL solver's learned clauses,
-//! variable activities, and saved phases carry over between bugs.
+//! variable activities, and saved phases carry over between bugs; Infer's
+//! CEGIS loop likewise blasts its OK and BUG formulas once per site.
+//!
+//! Unsat cores are deletion-order cores over the user assumptions, the same
+//! cores [`crate::bitblast::BitBlastSolver`] computes.
 //!
 //! Contexts cannot grow without bound: a worker-held solver that crosses
 //! [`CTX_RESET_CLAUSES`] drops its context and re-blasts the live stack on
 //! the next check (counted as `smt.ctx.reset`).
 
-use crate::bitblast::{Bits, Blaster};
+use crate::bitblast::{read_model, Blaster};
 use crate::cnf::Lit;
 use crate::sat::{CdclSolver, SolveLimits, SolveResult};
+use crate::simplify::simplify;
 use crate::solver::{BudgetKind, ResourceBudget, SatResult, Solver, SolverError};
-use crate::term::{Sort, Term, Value};
+use crate::term::{Sort, Term};
 use crate::Assignment;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,10 +39,11 @@ use std::time::Instant;
 /// stack. Bounds worker-held contexts that survive across programs: every
 /// solve decides and propagates over the dead Tseitin structure of
 /// everything the context ever asserted, so past this point rebuilding is
-/// cheaper than reusing. Tuned on the 22-program corpus: the threshold
-/// must fit the largest single round (~40k clauses) with room to amortize
-/// across its bugs — 40k thrashes with mid-round resets, 100k+ drags
-/// dead weight through most of the corpus; 60k is the measured optimum.
+/// cheaper than reusing. Tuned on the 22-program corpus when its largest
+/// round blasted to ~40k clauses: 40k thrashed with mid-round resets,
+/// 100k+ dragged dead weight through most of the corpus. One fabric_switch
+/// query now blasts to ~63k clauses on its own, so a solver working on it
+/// is rebuilt before every check after its first.
 const CTX_RESET_CLAUSES: usize = 60_000;
 
 /// Learned-clause count past which a context flushes its lemmas between
@@ -66,8 +73,8 @@ struct LastCheck {
 }
 
 /// A [`Solver`] with persistent solver contexts and assumption-literal
-/// frame discharge. Drop-in for [`crate::bitblast::BitBlastSolver`]; wired
-/// in as the Internal backend under `SolverMode::Incremental`.
+/// frame discharge. Drop-in for [`crate::bitblast::BitBlastSolver`], with
+/// the same verdicts and unsat cores.
 pub struct IncrementalSolver {
     frames: Vec<Vec<Term>>,
     ctx: Option<Ctx>,
@@ -94,8 +101,23 @@ impl IncrementalSolver {
         }
     }
 
+    /// A solver holding this one's assertion stack in simplified form, with
+    /// no context yet: the governor's retry after a transient `Unknown`
+    /// (stale learnt state and lowering memos are the classic cause).
+    pub fn fresh_simplified(&self) -> IncrementalSolver {
+        IncrementalSolver {
+            frames: self
+                .frames
+                .iter()
+                .map(|frame| frame.iter().map(simplify).collect())
+                .collect(),
+            budget: self.budget.clone(),
+            ..IncrementalSolver::new()
+        }
+    }
+
     /// Formula size of the live stack plus assumptions, for the budget cap
-    /// (same quantity the oneshot backend checks before blasting).
+    /// (same quantity the reference oracle checks before blasting).
     fn formula_size(&self, assumptions: &[Term]) -> usize {
         self.frames
             .iter()
@@ -163,7 +185,6 @@ impl IncrementalSolver {
         let limits = SolveLimits {
             deadline,
             max_conflicts: self.budget.max_conflicts,
-            cancel: None,
         };
         let result = match ctx.sat.solve_limited(&all, &limits) {
             SolveResult::Sat => SatResult::Sat,
@@ -232,7 +253,6 @@ impl Solver for IncrementalSolver {
         let limits = SolveLimits {
             deadline: self.budget.timeout.map(|t| Instant::now() + t),
             max_conflicts: self.budget.max_conflicts,
-            cancel: None,
         };
         let sat = &mut self.ctx.as_mut().unwrap().sat;
         let mut kept: Vec<usize> = (0..all.len()).collect();
@@ -257,42 +277,12 @@ impl Solver for IncrementalSolver {
     }
 
     fn model(&mut self, vars: &[(Arc<str>, Sort)]) -> Result<Assignment, SolverError> {
-        let ctx = self.ctx.as_ref().ok_or(SolverError::NoModel)?;
-        match &self.last {
-            Some(l) if l.result == SatResult::Sat => {}
-            _ => return Err(SolverError::NoModel),
+        match (&self.last, &self.ctx) {
+            (Some(l), Some(ctx)) if l.result == SatResult::Sat => {
+                Ok(read_model(&ctx.blaster.vars, &ctx.sat, vars))
+            }
+            _ => Err(SolverError::NoModel),
         }
-        let mut out = Assignment::new();
-        for (name, sort) in vars {
-            let v = match (ctx.blaster.vars.get(name), sort) {
-                (Some(Bits::B(l)), Sort::Bool) => {
-                    let b = ctx.sat.value(l.var());
-                    Value::Bool(if l.is_pos() { b } else { !b })
-                }
-                (Some(Bits::V(bits)), Sort::Bv(w)) => {
-                    let mut x: u128 = 0;
-                    for (i, l) in bits.iter().enumerate() {
-                        let b = ctx.sat.value(l.var());
-                        let b = if l.is_pos() { b } else { !b };
-                        if b {
-                            x |= 1 << i;
-                        }
-                    }
-                    Value::bv(*w, x)
-                }
-                (None, Sort::Bool) => Value::Bool(false),
-                (None, Sort::Bv(w)) => Value::bv(*w, 0),
-                (Some(_), _) => {
-                    let err = SolverError::SortMismatch(format!(
-                        "model extraction: stored bits for `{name}` disagree with requested sort {sort:?}"
-                    ));
-                    self.last_error = Some(err.clone());
-                    return Err(err);
-                }
-            };
-            out.insert(name.clone(), v);
-        }
-        Ok(out)
     }
 
     fn set_budget(&mut self, budget: ResourceBudget) {
@@ -308,6 +298,7 @@ impl Solver for IncrementalSolver {
 mod tests {
     use super::*;
     use crate::bitblast::BitBlastSolver;
+    use crate::term::Value;
 
     #[test]
     fn push_pop_matches_oneshot() {
@@ -406,6 +397,29 @@ mod tests {
             inc.pop();
             one.pop();
         }
+    }
+
+    #[test]
+    fn one_name_at_two_widths_gets_two_bit_vectors() {
+        // A worker's context outlives a program, and two programs may use
+        // one variable name at two widths: the second must not reuse the
+        // first one's 8 bits.
+        let narrow = Term::var("x", Sort::Bv(8));
+        let wide = Term::var("x", Sort::Bv(16));
+        let mut s = IncrementalSolver::new();
+        s.push();
+        s.assert(&narrow.eq_term(&Term::bv(8, 3)));
+        assert_eq!(s.check(), SatResult::Sat);
+        s.pop();
+        let f = wide
+            .eq_term(&Term::bv(16, 300))
+            .and(&wide.bvult(&Term::bv(16, 512)));
+        let mut oracle = BitBlastSolver::new();
+        let got = s.solve(&f);
+        assert_eq!(got.result, oracle.solve(&f).result);
+        assert_eq!(got.result, SatResult::Sat);
+        let m = got.model.expect("model after sat");
+        assert_eq!(m.get("x" as &str), Some(&Value::bv(16, 300)));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! A CDCL SAT solver with two-watched-literal propagation, first-UIP clause
 //! learning, VSIDS-style activities, phase saving and Luby restarts.
 //!
-//! This solver backs the internal [`crate::bitblast::BitBlastSolver`] used
-//! as an independent oracle against Z3 in differential tests. It is a
-//! complete, dependency-free implementation — not a toy DPLL — but it is
-//! tuned for the modest formula sizes that role requires.
+//! This solver backs both the pipeline's
+//! [`crate::incremental::IncrementalSolver`] and the reference oracle
+//! [`crate::bitblast::BitBlastSolver`]. It is a complete, dependency-free
+//! implementation — not a toy DPLL — tuned for the modest formula sizes
+//! bf4's queries have.
 
 use crate::cnf::{Clause, Lit};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Ternary assignment value.
@@ -49,11 +48,6 @@ pub struct SolveLimits {
     pub deadline: Option<Instant>,
     /// Abort with [`SolveResult::Unknown`] after this many conflicts.
     pub max_conflicts: Option<u64>,
-    /// Cooperative cancellation: abort with [`SolveResult::Unknown`] once
-    /// this flag reads `true`. Polled at the deadline cadence; a portfolio
-    /// race sets it so the losing solver releases its CPU as soon as a
-    /// winner is known.
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 const CLAUSE_UNDEF: usize = usize::MAX;
@@ -510,10 +504,6 @@ impl CdclSolver {
                         return SolveResult::Unknown;
                     }
                 }
-                if limits.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    self.backtrack(0);
-                    return SolveResult::Unknown;
-                }
             }
             let conflict = self.propagate();
             if conflict != CLAUSE_UNDEF {
@@ -529,7 +519,8 @@ impl CdclSolver {
                 // If the conflict is at or below the assumption levels, the
                 // assumptions are jointly inconsistent with the formula.
                 if self.decision_level() <= assumptions.len() as u32 {
-                    self.collect_failed(assumptions, conflict);
+                    let lits = self.clauses[conflict].clone();
+                    self.analyze_final(&lits);
                     return SolveResult::Unsat;
                 }
                 let (learnt, bt) = self.analyze(conflict);
@@ -552,8 +543,10 @@ impl CdclSolver {
                             self.trail_lim.push(self.trail.len());
                         }
                         Val::False => {
-                            // Conflicting assumption.
-                            self.analyze_final(assumptions, a);
+                            // Conflicting assumption: it fails together
+                            // with whatever implied its negation.
+                            self.analyze_final(&[a]);
+                            self.failed_assumptions.push(a);
                             return SolveResult::Unsat;
                         }
                         Val::Undef => {
@@ -574,30 +567,48 @@ impl CdclSolver {
         }
     }
 
-    /// Conservative failed-assumption set from a conflict in the assumption
-    /// prefix: every assumption assigned on the trail.
-    fn collect_failed(&mut self, assumptions: &[Lit], _conflict: usize) {
-        self.failed_assumptions = assumptions
-            .iter()
-            .copied()
-            .filter(|&a| self.value_lit(a) != Val::Undef)
-            .collect();
-    }
-
-    fn analyze_final(&mut self, assumptions: &[Lit], failing: Lit) {
-        // The failing assumption plus everything before it.
-        let mut out = Vec::new();
-        for &a in assumptions {
-            out.push(a);
-            if a == failing {
-                break;
+    /// Final conflict analysis, as MiniSat's `analyzeFinal`: walk the
+    /// reasons of the (false) literals in `conflict` back to the decisions
+    /// that implied them. It runs only while every decision level is an
+    /// assumption level, so the decisions reached are assumptions, and
+    /// together with the clauses they are Unsat. Stores them, in trail
+    /// order, as [`CdclSolver::failed_assumptions`].
+    fn analyze_final(&mut self, conflict: &[Lit]) {
+        self.failed_assumptions.clear();
+        let Some(&first) = self.trail_lim.first() else {
+            return;
+        };
+        for l in conflict {
+            let v = l.var() as usize;
+            if self.vars[v].level > 0 {
+                self.vars[v].seen = true;
             }
         }
-        self.failed_assumptions = out;
+        for i in (first..self.trail.len()).rev() {
+            let l = self.trail[i];
+            let v = l.var() as usize;
+            if !self.vars[v].seen {
+                continue;
+            }
+            self.vars[v].seen = false;
+            let reason = self.vars[v].reason;
+            if reason == CLAUSE_UNDEF {
+                self.failed_assumptions.push(l);
+                continue;
+            }
+            for k in 0..self.clauses[reason].len() {
+                let q = self.clauses[reason][k].var() as usize;
+                if q != v && self.vars[q].level > 0 {
+                    self.vars[q].seen = true;
+                }
+            }
+        }
+        self.failed_assumptions.reverse();
     }
 
-    /// Failed assumptions after an unsat assumption solve (superset of a
-    /// minimal core).
+    /// Failed assumptions after an unsat assumption solve: a subset of the
+    /// assumptions that is Unsat on its own (empty when the clauses alone
+    /// are Unsat). Not necessarily minimal.
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.failed_assumptions
     }

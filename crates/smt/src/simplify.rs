@@ -11,8 +11,9 @@
 //! * conjunction/disjunction complement detection (`x && !x` → `false`);
 //! * re-application of all constructor folds after child rewriting.
 //!
-//! Simplification is semantics-preserving; `tests` cross-check random
-//! formulas against Z3 equivalence in the crate's property suite.
+//! Simplification is semantics-preserving; the cross-crate
+//! `solver_differential` suite has the solver prove `f <=> simplify(f)` on
+//! random formulas.
 
 use crate::term::{Term, TermNode};
 use crate::visit::substitute;

@@ -2,12 +2,12 @@
 //! governance vocabulary ([`ResourceBudget`], [`SolverError`]) shared by all
 //! backends.
 //!
-//! Three implementations exist: [`crate::bitblast::BitBlastSolver`] (the
-//! internal CDCL solver over bit-blasted formulas, the default backend),
-//! `Z3Backend` (behind the `z3` feature), and
-//! [`crate::governed::GovernedSolver`], which wraps either and enforces
-//! budgets, retries transient `Unknown`s and falls back to the internal
-//! solver.
+//! Three implementations exist: [`crate::incremental::IncrementalSolver`]
+//! (the pipeline's solver: one persistent bit-blast and CDCL context),
+//! [`crate::governed::GovernedSolver`], which wraps it and enforces budgets
+//! and retries transient `Unknown`s, and
+//! [`crate::bitblast::BitBlastSolver`], the re-blasting reference oracle
+//! the tests compare against.
 
 use crate::term::{Sort, Term};
 use crate::Assignment;
@@ -52,10 +52,6 @@ impl std::fmt::Display for BudgetKind {
 /// Why a solver operation could not produce a definite answer.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SolverError {
-    /// A term had the wrong sort for its position (e.g. a bit-vector where
-    /// a boolean was required). Indicates a lowering bug upstream; reported
-    /// instead of panicking so one bad formula cannot kill a corpus run.
-    SortMismatch(String),
     /// A resource budget was exhausted before the query was decided.
     Budget(BudgetKind),
     /// `model` was called without a preceding `Sat`, or the backend could
@@ -68,7 +64,6 @@ pub enum SolverError {
 impl std::fmt::Display for SolverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SolverError::SortMismatch(what) => write!(f, "sort mismatch: {what}"),
             SolverError::Budget(kind) => write!(f, "budget exhausted: {kind}"),
             SolverError::NoModel => write!(f, "no model available"),
             SolverError::Backend(what) => write!(f, "backend error: {what}"),
@@ -98,9 +93,6 @@ pub struct ResourceBudget {
     /// How many times a governed solver retries a transient `Unknown` on a
     /// fresh context with a simplified formula.
     pub max_retries: u32,
-    /// Largest formula size the governed solver will hand to the internal
-    /// bit-blaster as a fallback after the primary backend gave `Unknown`.
-    pub fallback_max_size: usize,
 }
 
 impl Default for ResourceBudget {
@@ -111,7 +103,6 @@ impl Default for ResourceBudget {
             max_formula_size: None,
             max_conflicts: None,
             max_retries: 1,
-            fallback_max_size: 200_000,
         }
     }
 }
@@ -153,10 +144,11 @@ pub struct SolveOutcome {
 /// unsat cores over the assumptions of the *most recent*
 /// [`Solver::check_assumptions`] call.
 ///
-/// Robustness contract: implementations must not panic on malformed input.
-/// Sort mismatches and resource exhaustion surface as
-/// [`SatResult::Unknown`] from checks (with [`Solver::last_error`]
-/// explaining why) or as [`SolverError`] from [`Solver::model`].
+/// Robustness contract: resource exhaustion surfaces as
+/// [`SatResult::Unknown`] from checks, with [`Solver::last_error`]
+/// explaining why, and a model asked for without a `Sat` as
+/// [`SolverError::NoModel`]. A variable is its name *and* its sort: one
+/// name used at two sorts is two variables.
 pub trait Solver {
     /// Permanently assert a boolean term.
     fn assert(&mut self, t: &Term);
@@ -184,8 +176,8 @@ pub trait Solver {
     fn unsat_core(&mut self) -> Vec<usize>;
 
     /// After a `Sat`: concrete values for the requested variables. Variables
-    /// the solver never saw get default values (false / zero), matching Z3's
-    /// model-completion semantics.
+    /// the solver never saw get default values (false / zero), the usual
+    /// SMT model-completion semantics.
     fn model(&mut self, vars: &[(Arc<str>, Sort)]) -> Result<Assignment, SolverError>;
 
     /// Install a resource budget. Backends that cannot enforce a given

@@ -1,11 +1,14 @@
-//! Differential property tests for [`bf4_smt::incremental::IncrementalSolver`]:
-//! on a random session of `push`/`assert`/`pop`/`check_assumptions` calls,
-//! every verdict the incremental solver produces via assumption-literal
-//! frame discharge must match a fresh [`BitBlastSolver`] handed the same
-//! live stack and assumptions. This is the contract that lets the engine
-//! swap backends per `--solver-mode` without changing any report.
+//! Differential property tests for [`bf4_smt::incremental::IncrementalSolver`]
+//! against the reference oracle [`BitBlastSolver`]: on a random session of
+//! `push`/`assert`/`pop`/`check_assumptions` calls, every verdict the
+//! incremental solver produces via assumption-literal frame discharge, and
+//! every unsat core it shrinks, must match a fresh oracle handed the same
+//! live stack and assumptions. Infer consumes those cores, so this is the
+//! contract that keeps its annotations what the one-shot path made them.
 
 use bf4_smt::bitblast::BitBlastSolver;
+use bf4_smt::cnf::{Clause, Lit};
+use bf4_smt::sat::{CdclSolver, SolveResult};
 use bf4_smt::{eval, Assignment, SatResult, Solver, Sort, Term, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -164,6 +167,120 @@ proptest! {
     #[test]
     fn incremental_matches_fresh_context(seed: u64, steps in 4u32..24, depth in 1u32..4) {
         run_session(seed, steps, depth);
+    }
+}
+
+/// Drive a random session in which every check assumes several small
+/// terms, and compare each Unsat check's incremental core with the plain
+/// deletion core of a fresh oracle: the persistent context, with popped
+/// frames and learned clauses behind it, must not move the core.
+fn core_session(seed: u64, steps: u32) {
+    let mut rng = Rng(seed);
+    let mut inc = bf4_smt::incremental::IncrementalSolver::new();
+    let mut stack: Vec<Vec<Term>> = vec![Vec::new()];
+    for _ in 0..steps {
+        match rng.below(8) {
+            0..=1 => {
+                let t = gen_bool(&mut rng, 2);
+                inc.assert(&t);
+                stack.last_mut().unwrap().push(t);
+            }
+            2 => {
+                inc.push();
+                stack.push(Vec::new());
+            }
+            3 => {
+                if stack.len() > 1 {
+                    inc.pop();
+                    stack.pop();
+                }
+            }
+            _ => {
+                let assumptions: Vec<Term> = (0..2 + rng.below(7))
+                    .map(|_| {
+                        let depth = rng.below(3) as u32;
+                        gen_bool(&mut rng, depth)
+                    })
+                    .collect();
+                let got = inc.check_assumptions(&assumptions);
+                let mut oracle = BitBlastSolver::new();
+                for t in stack.iter().flatten() {
+                    oracle.assert(t);
+                }
+                prop_assert_eq!(got, oracle.check_assumptions(&assumptions));
+                if got == SatResult::Unsat {
+                    prop_assert_eq!(
+                        inc.unsat_core(),
+                        oracle.unsat_core(),
+                        "core diverged at seed {} ({} assumptions)",
+                        seed,
+                        assumptions.len()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Random 3-CNF over `nv` variables.
+fn gen_cnf(rng: &mut Rng, nv: u32, n: usize) -> Vec<Clause> {
+    (0..n)
+        .map(|_| {
+            (0..3)
+                .map(|_| {
+                    let v = 1 + rng.below(nv as u64) as u32;
+                    if rng.below(2) == 0 {
+                        Lit::pos(v)
+                    } else {
+                        Lit::neg(v)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Unsat cores of the incremental solver equal the oracle's plain
+    /// deletion cores on random sessions.
+    #[test]
+    fn incremental_cores_match_plain_deletion(seed: u64, steps in 4u32..24) {
+        core_session(seed, steps);
+    }
+
+    /// After an Unsat assumption solve, the failed assumptions are a subset
+    /// of the assumptions that is Unsat on its own, on a fresh solver with
+    /// no learned clauses — including on a solver reused across solves.
+    #[test]
+    fn failed_assumptions_alone_are_unsat(seed: u64, clauses in 8usize..40) {
+        let mut rng = Rng(seed | 1);
+        let nv = 10;
+        let cnf = gen_cnf(&mut rng, nv, clauses);
+        let mut s = CdclSolver::new(nv, cnf.clone());
+        for _ in 0..6 {
+            let assumptions: Vec<Lit> = (0..1 + rng.below(8))
+                .map(|_| {
+                    let v = 1 + rng.below(nv as u64) as u32;
+                    if rng.below(2) == 0 { Lit::pos(v) } else { Lit::neg(v) }
+                })
+                .collect();
+            if s.solve(&assumptions) != SolveResult::Unsat {
+                continue;
+            }
+            let failed = s.failed_assumptions().to_vec();
+            prop_assert!(failed.iter().all(|l| assumptions.contains(l)));
+            let mut fresh = CdclSolver::new(nv, cnf.clone());
+            prop_assert_eq!(
+                fresh.solve(&failed),
+                SolveResult::Unsat,
+                "failed set {:?} of {:?} is satisfiable at seed {}",
+                failed,
+                assumptions,
+                seed
+            );
+        }
     }
 }
 

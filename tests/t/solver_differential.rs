@@ -1,6 +1,6 @@
-//! Differential testing of the solver layer: the governed solver (with
-//! its budget enforcement, retries, and fallback routing) and the raw
-//! internal CDCL bit-blaster must agree on satisfiability for random
+//! Differential testing of the solver layer: the governed incremental
+//! solver (with its budget enforcement and retries) and the re-blasting
+//! reference oracle must agree on satisfiability for random
 //! QF_BV formulas, and every `Sat` model must actually evaluate to true.
 //! The same harness cross-checks the simplifier and the S-expression
 //! codec (semantics preservation).
