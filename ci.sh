@@ -97,17 +97,18 @@ cargo test -q -p bf4-shim --offline --test journal_fault \
     fsync_fault_mid_persist_then_reopen_loses_nothing \
     -- --exact fsync_fault_mid_persist_then_reopen_loses_nothing
 
-echo "==> sharded-shim batch suites (shard parity, crash atomicity, torn commits)"
-# The line-rate shim's load-bearing properties by name: verdicts and
-# digests independent of the shard count, batch apply all-or-nothing
-# under a crash at any journal byte offset, and a torn group commit
-# never splitting or acknowledging a batch.
+echo "==> batched-shim suites (monolithic parity, joint specs, crash atomicity, torn commits)"
+# The line-rate shim's load-bearing properties by name: batched verdicts,
+# rule ids and digest equal to the monolithic Shim::apply, multi-table
+# assertions enforced within and across batches, batch apply
+# all-or-nothing under a crash at any journal byte offset, and a torn
+# group commit never splitting or acknowledging a batch.
 cargo test -q -p bf4-shim --offline --test shard_pool \
-    verdicts_and_digest_independent_of_shard_count \
-    -- --exact verdicts_and_digest_independent_of_shard_count
+    batched_verdicts_match_monolithic_apply \
+    -- --exact batched_verdicts_match_monolithic_apply
 cargo test -q -p bf4-shim --offline --test shard_pool \
-    joint_specs_enforced_across_shard_boundaries \
-    -- --exact joint_specs_enforced_across_shard_boundaries
+    joint_specs_enforced_within_and_across_batches \
+    -- --exact joint_specs_enforced_within_and_across_batches
 cargo test -q -p bf4-shim --offline --test batch_props \
     batch_boundaries_and_neighbors_are_exact \
     -- --exact batch_boundaries_and_neighbors_are_exact
@@ -181,29 +182,19 @@ cargo run -q --release --offline -p bf4-bench --bin report -- regress \
 
 echo "==> shim stress campaign (BF4_FAULTS torn commits mid-burst, crash/reopen gates)"
 # The staged-load campaign under an ambient chaos plan — armed from
-# warmup on, strictly harsher than the fault-stage-only default. Gates
-# (exit 1): zero acknowledged batches lost across the mid-campaign
-# crash/reopen, zero invalid rules admitted under any injected fault,
-# and group commit strictly beating one fsync per update. 2>/dev/null
-# drops the injected shard-poison backtraces the shim catches by design.
-BF4_FAULTS="seed=13,shim.batch_torn=%5,shim.shard_poison=%9,shim.overload=%11" \
-    ./target/release/bf4 controller crates/corpus/programs/simple_nat.p4 \
-    --campaign --dir "$tmpdir" --out "$tmpdir/BENCH_shim_campaign.json" \
-    2>/dev/null | tail -4
-grep -q '"acked_lost": 0' "$tmpdir/BENCH_shim_campaign.json"
-grep -q '"invalid_admitted": 0' "$tmpdir/BENCH_shim_campaign.json"
-
-echo "==> shimbench gate + shim regress (fresh numbers vs committed baseline)"
-# The full campaign on the largest program writes BENCH_shim.json; the
-# regress gate holds its scale-free metrics (group-commit speedup,
-# recovery losses, audit violations, fault fires) to the committed
-# baseline. Fire counts wobble with thread interleaving, hence the
-# wider band.
-cargo run -q --release --offline -p bf4-bench --bin report -- shimbench \
-    --dir "$tmpdir" --out "$tmpdir/BENCH_shim.json" 2>/dev/null | tail -4
-cargo run -q --release --offline -p bf4-bench --bin report -- regress \
-    --fresh "$tmpdir/BENCH_shim.json" --baseline bench/baselines/BENCH_shim.json \
-    --tolerance 0.5
+# warmup on, strictly harsher than the fault-stage-only default — on a
+# small program and on the largest one. Gates (exit 1, kept by
+# pipefail): zero acknowledged batches lost across the mid-campaign
+# crash/reopen, zero replay mismatches, the recovered digest equal to the
+# live one, zero invalid rules admitted under any injected fault, and a
+# fault plan that fired. 2>/dev/null drops the injected-panic backtraces
+# the shim catches by design.
+for prog in simple_nat fabric_switch; do
+    echo "-- $prog"
+    BF4_FAULTS="seed=13,shim.batch_torn=%5,shim.shard_poison=%9,shim.overload=%11" \
+        ./target/release/bf4 controller "crates/corpus/programs/$prog.p4" \
+        --campaign --dir "$tmpdir" 2>/dev/null | tail -3
+done
 
 echo "==> daemon test suites (incremental soundness, impact property, chaos)"
 # The daemon's load-bearing suites by name, so a rename or filter-out
@@ -343,15 +334,10 @@ bf4d_pid=""
 ./target/release/report slo "$tsdb" --slo p99_ms=600000 --window 1 | grep -q '^slo OK'
 echo "telemetry smoke OK"
 
-echo "==> daemonbench gate (warm incremental strictly faster, verdicts identical)"
-cargo run -q --release --offline -p bf4-bench --bin report -- daemonbench \
-    --out "$tmpdir/BENCH_daemon.json"
-
-echo "==> daemon regress gate (fresh numbers vs committed baseline)"
-# Verdict identity, speedup, skip counts and the telemetry overhead may
-# not be worse than bench/baselines/BENCH_daemon.json beyond the band.
-cargo run -q --release --offline -p bf4-bench --bin report -- regress \
-    --fresh "$tmpdir/BENCH_daemon.json" --baseline bench/baselines/BENCH_daemon.json
+echo "==> daemonbench gate (verdicts identical, warm pass incremental, telemetry overhead)"
+# Exit 1 unless every incremental verdict is byte-identical to a one-shot
+# run, the warm pass skipped bugs, and telemetry costs at most 1.25x.
+cargo run -q --release --offline -p bf4-bench --bin report -- daemonbench
 
 echo "==> BF4_FAULTS CLI smoke + fault audit"
 # The CLI must honor a BF4_FAULTS schedule end to end: same exit-code

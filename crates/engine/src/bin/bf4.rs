@@ -58,20 +58,19 @@
 //! `--iterations 0` (the default) runs until interrupted.
 //!
 //! ```text
-//! bf4 controller <file.p4> [--updates N] [--batch-size N] [--shards N]
-//!                [--threads N] [--seed N] [--faulty F] [--journal FILE]
-//!                [--campaign] [--out FILE] [--dir DIR]
+//! bf4 controller <file.p4> [--updates N] [--batch-size N] [--threads N]
+//!                [--seed N] [--faulty F] [--journal FILE]
+//!                [--campaign] [--dir DIR]
 //! ```
 //!
 //! Controller mode: verify the program, then push a synthetic update
-//! workload through the sharded line-rate shim in batches (group-commit
-//! journaled when `--journal` is given; `BF4_FAULTS` plans apply). With
+//! workload through the batched line-rate shim (group-commit journaled
+//! when `--journal` is given; `BF4_FAULTS` plans apply). With
 //! `--campaign`, run the full staged-load stress campaign instead —
-//! warmup → burst → fault-mid-burst → drain plus the crash/reopen,
-//! assertion-audit and group-commit-vs-per-update-fsync gates — and
-//! optionally write the `BENCH_shim.json` report to `--out`. Exit code:
-//! 0 when every gate holds, 1 on a gate violation (or, in plain mode, an
-//! audit violation), 2 on usage or frontend errors.
+//! warmup → burst → fault-mid-burst → drain plus the crash/reopen and
+//! assertion-audit gates, journaling under `--dir`. Exit code: 0 when
+//! every gate holds, 1 on a gate violation (or, in plain mode, an audit
+//! violation), 2 on usage or frontend errors.
 
 use bf4_core::driver::{verify, Report, VerifyOptions};
 use bf4_engine::{verify_corpus, EngineConfig, EngineStats};
@@ -934,19 +933,18 @@ fn top_main(args: &[String]) -> i32 {
 }
 
 /// `bf4 controller` — drive a synthetic update workload through the
-/// sharded line-rate shim, or (with `--campaign`) the full staged-load
+/// batched line-rate shim, or (with `--campaign`) the full staged-load
 /// stress campaign with its gates.
 fn controller_main(args: &[String]) -> i32 {
     let mut path: Option<String> = None;
     let mut updates = 2000usize;
     let mut campaign = false;
-    let mut out: Option<String> = None;
     let mut journal: Option<String> = None;
     let mut config = bf4_shim::campaign::CampaignConfig::default();
     let usage = || {
         eprintln!(
-            "usage: bf4 controller <file.p4> [--updates N] [--batch-size N] [--shards N] \
-             [--threads N] [--seed N] [--faulty F] [--journal FILE] [--campaign] [--out FILE] [--dir DIR]"
+            "usage: bf4 controller <file.p4> [--updates N] [--batch-size N] [--threads N] \
+             [--seed N] [--faulty F] [--journal FILE] [--campaign] [--dir DIR]"
         );
         2
     };
@@ -968,7 +966,6 @@ fn controller_main(args: &[String]) -> i32 {
         match args[i].as_str() {
             "--updates" => updates = num!("--updates"),
             "--batch-size" => config.batch_size = num!("--batch-size"),
-            "--shards" => config.shards = num!("--shards"),
             "--threads" => config.threads = num!("--threads"),
             "--seed" => config.seed = num!("--seed"),
             "--faulty" => config.faulty_fraction = num!("--faulty"),
@@ -977,13 +974,6 @@ fn controller_main(args: &[String]) -> i32 {
                 i += 1;
                 journal = args.get(i).cloned();
                 if journal.is_none() {
-                    return usage();
-                }
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned();
-                if out.is_none() {
                     return usage();
                 }
             }
@@ -1030,13 +1020,6 @@ fn controller_main(args: &[String]) -> i32 {
                 }
             };
         print!("{}", campaign_report.render_text());
-        if let Some(out) = out {
-            if let Err(e) = std::fs::write(&out, campaign_report.to_json()) {
-                eprintln!("bf4 controller: cannot write {out}: {e}");
-                return 2;
-            }
-            println!("wrote {out}");
-        }
         let gates = campaign_report.gate_violations();
         for g in &gates {
             eprintln!("gate: {g}");
@@ -1049,10 +1032,8 @@ fn controller_main(args: &[String]) -> i32 {
     let shim = match bf4_shim::ShardedShim::new(
         &report.annotations,
         &bf4_shim::ShimConfig {
-            shards: config.shards,
             max_inflight: config.max_inflight,
             journal_path: journal.as_ref().map(Into::into),
-            fsync_per_update: false,
         },
     ) {
         Ok(s) => s,
@@ -1075,8 +1056,8 @@ fn controller_main(args: &[String]) -> i32 {
     let batches = bf4_shim::campaign::chunk(workload, config.batch_size);
     let stage = bf4_shim::campaign::run_stage(&shim, "serve", &batches, config.threads);
     println!(
-        "offered {} batch(es) ({updates} updates, batch={}) on {} thread(s) over {} shard(s)",
-        stage.batches, config.batch_size, config.threads, shim.shard_count()
+        "offered {} batch(es) ({updates} updates, batch={}) on {} thread(s)",
+        stage.batches, config.batch_size, config.threads
     );
     println!(
         "acked {} ({} updates), rejected {}, shed {}, journal-failed {}, poisoned {}",

@@ -1,7 +1,7 @@
 //! `Report::obs_metrics` under `--jobs N`: the engine's joined-pool
 //! before/after delta must tell the same story as the sequential
-//! driver's. Deterministic counters (solver queries, engine jobs) agree
-//! exactly; cache-dependent counters only appear where a cache exists.
+//! driver's. Deterministic counters (solver queries, unsat-core trials,
+//! engine jobs) agree exactly; cache-dependent counters only appear where a cache exists.
 //!
 //! Metrics are process-global, so this differential lives in its own
 //! test binary — test binaries run one at a time, and both tests here
@@ -20,7 +20,9 @@ fn lock() -> MutexGuard<'static, ()> {
 #[test]
 fn parallel_single_program_delta_matches_sequential() {
     let _g = lock();
-    let prog = bf4_corpus::by_name("arp").expect("corpus program present");
+    // mc_nat's Infer shrinks an unsat core, so the core trials are in
+    // the compared counters.
+    let prog = bf4_corpus::by_name("mc_nat").expect("corpus program present");
     let options = VerifyOptions::default();
 
     bf4_obs::set_metrics(true);
@@ -55,13 +57,14 @@ fn parallel_single_program_delta_matches_sequential() {
     // The solver workload is identical, merely sharded across workers:
     // the merged per-worker counters must reproduce the sequential
     // counts exactly.
-    for key in ["smt.queries", "smt.budget_exhausted"] {
+    for key in ["smt.queries", "smt.budget_exhausted", "smt.core_trials"] {
         assert_eq!(
             par.counters.get(key),
             seq.counters.get(key),
             "{key} diverged between sequential and --jobs 4"
         );
     }
+    assert!(seq.counters.get("smt.core_trials").copied().unwrap_or(0) > 0);
     // And the engine layer must actually have run parallel jobs — i.e.
     // this delta really merged multiple workers' updates.
     assert!(par.counters.get("engine.jobs").copied().unwrap_or(0) > 1);

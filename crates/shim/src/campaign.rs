@@ -1,6 +1,5 @@
-//! Staged-load stress campaign for the sharded shim: warmup → burst →
-//! fault-mid-burst → drain, with a crash/reopen check and a group-commit
-//! vs per-update-fsync throughput comparison.
+//! Staged-load stress campaign for the batched shim: warmup → burst →
+//! fault-mid-burst → drain, with a crash/reopen check.
 //!
 //! The campaign is the executable form of the shim's robustness claims:
 //!
@@ -14,9 +13,6 @@
 //!    ([`Shim::audit_violations`](crate::Shim::audit_violations)) — the
 //!    ground truth that no schedule of faults, panics, rollbacks, or
 //!    recoveries ever let a violating rule through.
-//! 3. **Group commit pays.** The same workload is journaled once with one
-//!    fsync per batch and once with one fsync per update; batching must
-//!    strictly beat the naive baseline.
 //!
 //! Latency percentiles (p50/p90/p99 upper bounds) come from the shared
 //! [`bf4_obs::Histogram`], merged across worker threads per stage; the
@@ -43,8 +39,6 @@ use std::time::Instant;
 /// Campaign configuration.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Shards of the shadow-table pool.
-    pub shards: usize,
     /// Worker threads in the burst/fault/drain stages.
     pub threads: usize,
     /// Updates per batch.
@@ -57,8 +51,6 @@ pub struct CampaignConfig {
     pub fault: usize,
     /// Updates in the post-recovery drain stage.
     pub drain: usize,
-    /// Updates in the throughput comparison (each mode).
-    pub throughput_updates: usize,
     /// Workload seed.
     pub seed: u64,
     /// Fraction of generated rules violating an inferred assertion.
@@ -75,14 +67,12 @@ pub struct CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> CampaignConfig {
         CampaignConfig {
-            shards: 4,
             threads: 4,
             batch_size: 8,
             warmup: 160,
             burst: 480,
             fault: 480,
             drain: 240,
-            throughput_updates: 320,
             seed: 0xbf4,
             faulty_fraction: 0.06,
             max_inflight: 32,
@@ -109,7 +99,7 @@ pub struct StageStats {
     pub shed: usize,
     /// Batches rolled back on journal write/fsync failure.
     pub journal_failed: usize,
-    /// Batches rolled back after an injected shard panic.
+    /// Batches rolled back after an injected validator panic.
     pub poisoned: usize,
     /// Updates inside acknowledged batches.
     pub updates_acked: usize,
@@ -143,30 +133,9 @@ pub struct AuditCheck {
     pub live_rules: usize,
 }
 
-/// Group-commit vs per-update-fsync comparison.
-#[derive(Clone, Debug, Default)]
-pub struct ThroughputCheck {
-    /// Updates applied per mode.
-    pub updates: usize,
-    /// Acknowledged updates/second with one fsync per batch.
-    pub group_commit_ups: f64,
-    /// Acknowledged updates/second with one fsync per update.
-    pub per_update_fsync_ups: f64,
-    /// `group_commit_ups / per_update_fsync_ups` (gate: > 1).
-    pub speedup: f64,
-    /// fsyncs issued in group-commit mode.
-    pub group_fsyncs: u64,
-    /// fsyncs issued in per-update mode.
-    pub per_update_fsyncs: u64,
-    /// Appends that shared a batch fsync in group-commit mode.
-    pub fsync_amortized: u64,
-}
-
 /// Full campaign outcome.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignReport {
-    /// Shards used.
-    pub shards: usize,
     /// Worker threads used.
     pub threads: usize,
     /// Updates per batch.
@@ -183,8 +152,6 @@ pub struct CampaignReport {
     pub recovery: RecoveryCheck,
     /// Assertion audit of the recovered state.
     pub audit: AuditCheck,
-    /// Group-commit vs per-update fsync.
-    pub throughput: ThroughputCheck,
 }
 
 impl CampaignReport {
@@ -212,12 +179,6 @@ impl CampaignReport {
                 self.audit.invalid_admitted
             ));
         }
-        if self.throughput.speedup <= 1.0 {
-            v.push(format!(
-                "group commit does not beat per-update fsync (speedup {:.2})",
-                self.throughput.speedup
-            ));
-        }
         if self.faults_armed && self.fault_fires == 0 {
             v.push("fault plan armed but nothing fired; campaign proved nothing".into());
         }
@@ -230,8 +191,8 @@ impl CampaignReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "shim campaign: {} shards, {} threads, batch={} ",
-            self.shards, self.threads, self.batch_size
+            "shim campaign: {} threads, batch={}",
+            self.threads, self.batch_size
         );
         let _ = writeln!(
             out,
@@ -280,86 +241,6 @@ impl CampaignReport {
             "audit: {} invalid admitted over {} live rules",
             self.audit.invalid_admitted, self.audit.live_rules
         );
-        let _ = writeln!(
-            out,
-            "throughput: group-commit {:.0} ups vs per-update-fsync {:.0} ups ({:.2}x, {} vs {} fsyncs, {} amortized)",
-            self.throughput.group_commit_ups,
-            self.throughput.per_update_fsync_ups,
-            self.throughput.speedup,
-            self.throughput.group_fsyncs,
-            self.throughput.per_update_fsyncs,
-            self.throughput.fsync_amortized
-        );
-        out
-    }
-
-    /// Serialize as `BENCH_shim.json` (the `"bench": "shim"` schema
-    /// consumed by `report regress`).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"bench\": \"shim\",");
-        let _ = writeln!(
-            out,
-            "  \"config\": {{\"shards\": {}, \"threads\": {}, \"batch_size\": {}}},",
-            self.shards, self.threads, self.batch_size
-        );
-        let _ = writeln!(out, "  \"stages\": {{");
-        for (i, s) in self.stages.iter().enumerate() {
-            let comma = if i + 1 < self.stages.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"batches\": {}, \"acked\": {}, \"rejected\": {}, \"shed\": {}, \"journal_failed\": {}, \"poisoned\": {}, \"updates_acked\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}{comma}",
-                s.name,
-                s.batches,
-                s.acked,
-                s.rejected,
-                s.shed,
-                s.journal_failed,
-                s.poisoned,
-                s.updates_acked,
-                s.latency.p50.as_micros(),
-                s.latency.p90.as_micros(),
-                s.latency.p99.as_micros(),
-                s.latency.max.as_micros(),
-            );
-        }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(
-            out,
-            "  \"faults\": {{\"armed\": {}, \"hits\": {}, \"fires\": {}}},",
-            u8::from(self.faults_armed),
-            self.fault_hits,
-            self.fault_fires
-        );
-        let _ = writeln!(
-            out,
-            "  \"recovery\": {{\"acked_batches\": {}, \"recovered_frames\": {}, \"acked_lost\": {}, \"mismatched\": {}, \"digest_match\": {}, \"torn_tail\": {}}},",
-            self.recovery.acked_batches,
-            self.recovery.recovered_frames,
-            self.recovery.acked_lost,
-            self.recovery.mismatched,
-            u8::from(self.recovery.digest_match),
-            u8::from(self.recovery.torn_tail)
-        );
-        let _ = writeln!(
-            out,
-            "  \"audit\": {{\"invalid_admitted\": {}, \"live_rules\": {}}},",
-            self.audit.invalid_admitted, self.audit.live_rules
-        );
-        let _ = writeln!(
-            out,
-            "  \"throughput\": {{\"updates\": {}, \"group_commit_ups\": {:.1}, \"per_update_fsync_ups\": {:.1}, \"speedup\": {:.3}, \"group_fsyncs\": {}, \"per_update_fsyncs\": {}, \"fsync_amortized\": {}}}",
-            self.throughput.updates,
-            self.throughput.group_commit_ups,
-            self.throughput.per_update_fsync_ups,
-            self.throughput.speedup,
-            self.throughput.group_fsyncs,
-            self.throughput.per_update_fsyncs,
-            self.throughput.fsync_amortized
-        );
-        let _ = writeln!(out, "}}");
         out
     }
 }
@@ -402,7 +283,7 @@ pub fn run_stage(shim: &ShardedShim, name: &str, batches: &[Batch], threads: usi
                     match r.error {
                         ShimError::Overloaded { .. } => local.shed += 1,
                         ShimError::JournalFailed(_) => local.journal_failed += 1,
-                        ShimError::ShardPoisoned { .. } => local.poisoned += 1,
+                        ShimError::ShardPoisoned => local.poisoned += 1,
                         _ => local.rejected += 1,
                     }
                 }
@@ -452,10 +333,8 @@ pub fn run_campaign(
         .dir
         .join(format!("bf4-shim-campaign-{}.journal", std::process::id()));
     let shim_config = ShimConfig {
-        shards: config.shards,
         max_inflight: config.max_inflight,
         journal_path: Some(journal_path.clone()),
-        fsync_per_update: false,
     };
     let shim = ShardedShim::new(annotations, &shim_config)?;
 
@@ -483,7 +362,6 @@ pub fn run_campaign(
     let drain_b = std::mem::take(&mut batches);
 
     let mut report = CampaignReport {
-        shards: shim.shard_count(),
         threads: config.threads,
         batch_size: config.batch_size,
         ..CampaignReport::default()
@@ -538,74 +416,16 @@ pub fn run_campaign(
 
     // Audit the final shadow state against every inferred assertion.
     let violations = recovered.audit_violations();
-    let snapshot = recovered.snapshot();
-    let live_rules: usize = snapshot
-        .table_names()
+    let live_rules: usize = annotations
+        .tables
         .iter()
-        .map(|t| snapshot.shadow_size(t))
+        .map(|t| recovered.shadow_size(&t.qualified()))
         .sum();
     report.audit = AuditCheck {
         invalid_admitted: violations.len(),
         live_rules,
     };
 
-    // Throughput comparison: identical benign workload, group commit vs
-    // per-update fsync, single-threaded for a like-for-like measurement.
-    report.throughput = run_throughput(annotations, config)?;
-
     let _ = std::fs::remove_file(&journal_path);
     Ok(report)
-}
-
-fn run_throughput(
-    annotations: &AnnotationFile,
-    config: &CampaignConfig,
-) -> std::io::Result<ThroughputCheck> {
-    let workload = Controller::new(
-        annotations,
-        WorkloadConfig {
-            updates: config.throughput_updates,
-            faulty_fraction: 0.0,
-            delete_fraction: 0.0,
-            seed: config.seed.wrapping_add(1),
-            ..WorkloadConfig::default()
-        },
-    )
-    .workload();
-    let batches = chunk(workload, config.batch_size);
-    let run_mode = |tag: &str, fsync_per_update: bool| -> std::io::Result<(f64, u64, u64)> {
-        let path = config.dir.join(format!(
-            "bf4-shim-throughput-{tag}-{}.journal",
-            std::process::id()
-        ));
-        let shim = ShardedShim::new(
-            annotations,
-            &ShimConfig {
-                shards: config.shards,
-                max_inflight: usize::MAX,
-                journal_path: Some(path.clone()),
-                fsync_per_update,
-            },
-        )?;
-        let t0 = Instant::now();
-        for b in &batches {
-            let _ = shim.apply_batch(b);
-        }
-        let wall = t0.elapsed();
-        let stats = shim.stats();
-        let _ = std::fs::remove_file(&path);
-        let ups = stats.updates_acked as f64 / wall.as_secs_f64().max(1e-9);
-        Ok((ups, stats.fsyncs, stats.fsync_amortized))
-    };
-    let (per_update_fsync_ups, per_update_fsyncs, _) = run_mode("perupdate", true)?;
-    let (group_commit_ups, group_fsyncs, fsync_amortized) = run_mode("group", false)?;
-    Ok(ThroughputCheck {
-        updates: config.throughput_updates,
-        group_commit_ups,
-        per_update_fsync_ups,
-        speedup: group_commit_ups / per_update_fsync_ups.max(1e-9),
-        group_fsyncs,
-        per_update_fsyncs,
-        fsync_amortized,
-    })
 }

@@ -384,7 +384,7 @@ mod tests {
                     // batch-path errors; unreachable through a monolithic
                     // Shim but kept exhaustive so new variants are heard
                     crate::ShimError::Overloaded { .. } => "Overloaded",
-                    crate::ShimError::ShardPoisoned { .. } => "ShardPoisoned",
+                    crate::ShimError::ShardPoisoned => "ShardPoisoned",
                     crate::ShimError::JournalFailed(_) => "JournalFailed",
                 });
             }

@@ -378,7 +378,7 @@ fn decode(line: &str) -> Option<JournalEntry> {
 // batch frames (group commit)
 // ---------------------------------------------------------------------
 //
-// A batch frame is the atomic commit unit of the sharded shim:
+// A batch frame is the atomic commit unit of the batched shim:
 //
 // ```text
 // B <seq> <n> #<fnv>          header: sequence number, entry count

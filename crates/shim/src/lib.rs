@@ -115,12 +115,9 @@ pub enum ShimError {
         /// Configured in-flight bound.
         limit: usize,
     },
-    /// A shard worker panicked mid-batch; the batch was rolled back and
+    /// The validator panicked mid-batch; the batch was rolled back and
     /// rejected conservatively.
-    ShardPoisoned {
-        /// Index of the poisoned shard.
-        shard: usize,
-    },
+    ShardPoisoned,
     /// The group-commit journal write/fsync failed; the batch was rolled
     /// back (never acknowledged) so shadow state still equals the replay
     /// of the durable journal.
@@ -150,8 +147,8 @@ impl std::fmt::Display for ShimError {
             ShimError::Overloaded { inflight, limit } => {
                 write!(f, "overloaded: {inflight} batches in flight (limit {limit})")
             }
-            ShimError::ShardPoisoned { shard } => {
-                write!(f, "shard {shard} poisoned mid-batch; batch rolled back")
+            ShimError::ShardPoisoned => {
+                write!(f, "validator panicked mid-batch; batch rolled back")
             }
             ShimError::JournalFailed(e) => write!(f, "journal write failed: {e}"),
         }
@@ -161,7 +158,7 @@ impl std::fmt::Display for ShimError {
 impl std::error::Error for ShimError {}
 
 /// A stored shadow rule.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct StoredRule {
     rule: RuleUpdate,
     live: bool,
@@ -178,6 +175,16 @@ struct Shadow {
     /// Spec indexes where this table is the `WITH` partner.
     partner_spec_ids: Vec<usize>,
     default_action: Option<String>,
+}
+
+/// How to revert one staged update (see [`Shim::stage`]).
+pub(crate) enum Undo<'a> {
+    /// Pop the rule the insert appended to this table.
+    Insert(&'a str),
+    /// Bring the tombstoned rule back.
+    Delete(&'a str, usize),
+    /// Restore the table's previous default action.
+    SetDefault(&'a str, Option<String>),
 }
 
 /// Validation outcome with timing, for the §5.3 measurements.
@@ -274,6 +281,51 @@ impl Shim {
             }
         }
         result
+    }
+
+    /// Validate and apply `update` through the same code as
+    /// [`apply`](Self::apply), without its span and counters, and push how
+    /// to revert it onto `undo` (batch staging).
+    pub(crate) fn stage<'a>(
+        &mut self,
+        update: &'a Update,
+        undo: &mut Vec<Undo<'a>>,
+    ) -> Result<Decision, ShimError> {
+        let revert = match update {
+            Update::Insert { table, .. } => Undo::Insert(table),
+            Update::Delete { table, rule_id } => Undo::Delete(table, *rule_id),
+            Update::SetDefault { table, .. } => Undo::SetDefault(
+                table,
+                self.tables.get(table).and_then(|s| s.default_action.clone()),
+            ),
+        };
+        let decision = self.apply_inner(update)?;
+        undo.push(revert);
+        Ok(decision)
+    }
+
+    /// Revert staged updates, newest first, leaving the shadow state as it
+    /// was before the first of them.
+    pub(crate) fn rollback(&mut self, undo: Vec<Undo<'_>>) {
+        for op in undo.into_iter().rev() {
+            match op {
+                Undo::Insert(table) => self.undo_insert(table),
+                Undo::Delete(table, rule_id) => {
+                    if let Some(r) = self
+                        .tables
+                        .get_mut(table)
+                        .and_then(|s| s.rules.get_mut(rule_id))
+                    {
+                        r.live = true;
+                    }
+                }
+                Undo::SetDefault(table, old) => {
+                    if let Some(s) = self.tables.get_mut(table) {
+                        s.default_action = old;
+                    }
+                }
+            }
+        }
     }
 
     fn apply_inner(&mut self, update: &Update) -> Result<Decision, ShimError> {
@@ -423,7 +475,7 @@ impl Shim {
     }
 
     /// Validate a delete without applying it.
-    pub(crate) fn validate_delete(&self, table: &str, rule_id: usize) -> Result<(), ShimError> {
+    fn validate_delete(&self, table: &str, rule_id: usize) -> Result<(), ShimError> {
         let shadow = self
             .tables
             .get(table)
@@ -435,7 +487,7 @@ impl Shim {
     }
 
     /// Validate a default-action change without applying it.
-    pub(crate) fn validate_set_default(&self, table: &str, action: &str) -> Result<(), ShimError> {
+    fn validate_set_default(&self, table: &str, action: &str) -> Result<(), ShimError> {
         let shadow = self
             .tables
             .get(table)
@@ -456,7 +508,7 @@ impl Shim {
         Ok(())
     }
 
-    pub(crate) fn insert_shadow(&mut self, table: &str, rule: RuleUpdate) -> usize {
+    fn insert_shadow(&mut self, table: &str, rule: RuleUpdate) -> usize {
         let shadow = self.tables.get_mut(table).expect("validated");
         let id = shadow.rules.len();
         for (&ki, idx) in shadow.indexes.iter_mut() {
@@ -468,7 +520,7 @@ impl Shim {
     }
 
     /// Tombstone a validated delete.
-    pub(crate) fn delete_shadow(&mut self, table: &str, rule_id: usize) {
+    fn delete_shadow(&mut self, table: &str, rule_id: usize) {
         if let Some(r) = self
             .tables
             .get_mut(table)
@@ -479,9 +531,8 @@ impl Shim {
     }
 
     /// Undo the most recent [`insert_shadow`](Self::insert_shadow) into
-    /// `table`: pops the rule and its index postings. Only sound while the
-    /// caller still holds exclusive access (batch rollback under locks).
-    pub(crate) fn undo_insert(&mut self, table: &str) {
+    /// `table`: pops the rule and its index postings.
+    fn undo_insert(&mut self, table: &str) {
         let Some(shadow) = self.tables.get_mut(table) else {
             return;
         };
@@ -500,62 +551,6 @@ impl Shim {
                 }
             }
         }
-    }
-
-    /// Undo a tombstone set by [`delete_shadow`](Self::delete_shadow).
-    pub(crate) fn undo_delete(&mut self, table: &str, rule_id: usize) {
-        if let Some(r) = self
-            .tables
-            .get_mut(table)
-            .and_then(|s| s.rules.get_mut(rule_id))
-        {
-            r.live = true;
-        }
-    }
-
-    /// Current default action of a table (for batch rollback).
-    pub(crate) fn default_action(&self, table: &str) -> Option<String> {
-        self.tables.get(table).and_then(|s| s.default_action.clone())
-    }
-
-    /// Set a table's default action without validation (batch staging and
-    /// rollback paths; validation happened separately).
-    pub(crate) fn set_default_raw(&mut self, table: &str, action: Option<String>) {
-        if let Some(s) = self.tables.get_mut(table) {
-            s.default_action = action;
-        }
-    }
-
-    /// Snapshot one table's full shadow (rules including tombstones plus
-    /// the default action), for mirroring into another shard.
-    pub(crate) fn clone_table(&self, table: &str) -> Option<(Vec<StoredRule>, Option<String>)> {
-        self.tables
-            .get(table)
-            .map(|s| (s.rules.clone(), s.default_action.clone()))
-    }
-
-    /// Replace one table's shadow with a snapshot, rebuilding the exact-key
-    /// indexes. Used to refresh cross-shard mirrors at batch start.
-    pub(crate) fn overwrite_table(
-        &mut self,
-        table: &str,
-        rules: Vec<StoredRule>,
-        default_action: Option<String>,
-    ) {
-        let Some(shadow) = self.tables.get_mut(table) else {
-            return;
-        };
-        for idx in shadow.indexes.values_mut() {
-            idx.clear();
-        }
-        for (id, stored) in rules.iter().enumerate() {
-            for (&ki, idx) in shadow.indexes.iter_mut() {
-                let v = stored.rule.key_values.get(ki).copied().unwrap_or(0);
-                idx.entry(v).or_default().push(id);
-            }
-        }
-        shadow.rules = rules;
-        shadow.default_action = default_action;
     }
 
     /// Translate a rule into the control-variable assignment of its table
@@ -631,35 +626,26 @@ impl Shim {
     /// tombstones — rule ids are positional — plus default actions). Two
     /// shims with equal digests decide every future update identically.
     pub fn state_digest(&self) -> u64 {
+        use std::fmt::Write;
         let mut names: Vec<&String> = self.tables.keys().collect();
         names.sort();
         let mut render = String::new();
         for name in names {
-            self.render_table_into(name, &mut render);
-        }
-        journal::fnv1a(render.as_bytes())
-    }
-
-    /// Render one table's shadow into the canonical digest format. The
-    /// sharded shim digests by concatenating per-table renders from each
-    /// table's owner shard, so a sharded digest equals the monolithic one.
-    pub(crate) fn render_table_into(&self, name: &str, render: &mut String) {
-        use std::fmt::Write;
-        let Some(shadow) = self.tables.get(name) else {
-            return;
-        };
-        let _ = writeln!(
-            render,
-            "T {name} default={}",
-            shadow.default_action.as_deref().unwrap_or("-")
-        );
-        for (id, r) in shadow.rules.iter().enumerate() {
+            let shadow = &self.tables[name];
             let _ = writeln!(
                 render,
-                "R {id} {} {} {:x?} {:x?} {:x?}",
-                r.live, r.rule.action, r.rule.key_values, r.rule.key_masks, r.rule.params
+                "T {name} default={}",
+                shadow.default_action.as_deref().unwrap_or("-")
             );
+            for (id, r) in shadow.rules.iter().enumerate() {
+                let _ = writeln!(
+                    render,
+                    "R {id} {} {} {:x?} {:x?} {:x?}",
+                    r.live, r.rule.action, r.rule.key_values, r.rule.key_masks, r.rule.params
+                );
+            }
         }
+        journal::fnv1a(render.as_bytes())
     }
 
     /// Audit the shadow state against every inferred assertion: each live

@@ -1,5 +1,5 @@
-//! Injected faults on the batch path: torn group commits, poisoned
-//! shard workers, and simulated journal overload.
+//! Injected faults on the batch path: torn group commits, a validator
+//! panicking mid-batch, and simulated journal overload.
 //!
 //! Own integration-test binary — fault plans are process-global — and
 //! the tests serialize on a local mutex because the default harness runs
@@ -54,10 +54,8 @@ fn torn_group_commit_never_splits_or_acks_a_batch() {
     let shim = ShardedShim::new(
         &annotations,
         &ShimConfig {
-            shards: 3,
             max_inflight: usize::MAX,
             journal_path: Some(path.clone()),
-            fsync_per_update: false,
         },
     )
     .unwrap();
@@ -94,10 +92,8 @@ fn torn_group_commit_never_splits_or_acks_a_batch() {
         &annotations,
         &torn,
         &ShimConfig {
-            shards: 3,
             max_inflight: usize::MAX,
             journal_path: None,
-            fsync_per_update: false,
         },
     )
     .unwrap();
@@ -122,10 +118,8 @@ fn torn_group_commit_never_splits_or_acks_a_batch() {
         &annotations,
         &disk,
         &ShimConfig {
-            shards: 6,
             max_inflight: usize::MAX,
             journal_path: None,
-            fsync_per_update: false,
         },
     )
     .unwrap();
@@ -145,15 +139,15 @@ fn poisoned_shard_rolls_back_mid_batch() {
     shim.apply_batch(&batches[0]).expect("clean warmup");
     let pre_digest = shim.state_digest();
 
-    // The worker panics while staging the third update of the next
+    // The validator panics while staging the third update of the next
     // batch — two updates are already staged and must be unwound.
     bf4_obs::fault::install(FaultPlan::parse("shim.shard_poison=@3").unwrap());
     let rej = shim
         .apply_batch(&batches[1])
-        .expect_err("poisoned worker must reject the batch");
+        .expect_err("a panicking validator must reject the batch");
     assert_eq!(rej.index, None);
     assert!(
-        matches!(rej.error, ShimError::ShardPoisoned { .. }),
+        matches!(rej.error, ShimError::ShardPoisoned),
         "expected ShardPoisoned, got {}",
         rej.error
     );
@@ -163,7 +157,7 @@ fn poisoned_shard_rolls_back_mid_batch() {
         "partially staged batch must roll back whole"
     );
 
-    // The pool keeps serving: the same batch passes once the one-shot
+    // The shim keeps serving: the same batch passes once the one-shot
     // fault is exhausted, and the audit stays clean.
     shim.apply_batch(&batches[1]).expect("retry after poison");
     let stats = bf4_obs::fault::clear();

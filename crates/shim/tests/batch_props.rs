@@ -1,7 +1,7 @@
 //! Property: batch apply is all-or-nothing under a crash at *any* byte
 //! offset of the journal.
 //!
-//! The fixture runs a mixed workload through a sharded shim once,
+//! The fixture runs a mixed workload through the batched shim once,
 //! snapshotting the journal length and state digest after every
 //! acknowledged batch — the only durable points a crash can legally
 //! expose. Recovery from the journal cut at an arbitrary byte offset
@@ -48,10 +48,8 @@ fn fixture() -> &'static Fixture {
         let shim = ShardedShim::new(
             &annotations,
             &ShimConfig {
-                shards: 3,
                 max_inflight: usize::MAX,
                 journal_path: None,
-                fsync_per_update: false,
             },
         )
         .unwrap();
@@ -93,10 +91,8 @@ fn check_cut(fix: &Fixture, cut: usize) {
         &fix.annotations,
         &fix.bytes[..cut],
         &ShimConfig {
-            shards: 5,
             max_inflight: usize::MAX,
             journal_path: None,
-            fsync_per_update: false,
         },
     )
     .unwrap();

@@ -1,8 +1,6 @@
 //! End-to-end smoke of the staged-load stress campaign: all four stages
-//! run, faults fire mid-burst, the crash/reopen loses nothing, the audit
-//! finds no invalid rule, group commit beats per-update fsync, and the
-//! JSON report round-trips through the minimal parser `report regress`
-//! uses.
+//! run, faults fire mid-burst, the crash/reopen loses nothing, and the
+//! audit finds no invalid rule.
 //!
 //! Own integration-test binary: the campaign installs a process-global
 //! fault plan for its fault stage.
@@ -21,7 +19,6 @@ fn campaign_passes_its_own_gates() {
         burst: 240,
         fault: 240,
         drain: 120,
-        throughput_updates: 160,
         dir: std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")),
         ..CampaignConfig::default()
     };
@@ -49,40 +46,10 @@ fn campaign_passes_its_own_gates() {
     assert!(report.recovery.digest_match);
     assert_eq!(report.audit.invalid_admitted, 0);
     assert!(report.audit.live_rules > 0);
-    assert!(
-        report.throughput.speedup > 1.0,
-        "group commit must beat per-update fsync (got {:.2}x)",
-        report.throughput.speedup
-    );
-    assert!(report.throughput.group_fsyncs < report.throughput.per_update_fsyncs);
 
     // The human rendering mentions every stage and the gate lines.
     let text = report.render_text();
-    for needle in ["warmup", "drain", "recovery:", "audit:", "throughput:"] {
+    for needle in ["warmup", "drain", "recovery:", "audit:"] {
         assert!(text.contains(needle), "render_text missing {needle:?}:\n{text}");
     }
-
-    // The JSON report parses with the in-tree minimal parser and carries
-    // the fields `report regress` gates on.
-    let json = report.to_json();
-    let v = bf4_obs::json::parse(&json).expect("BENCH_shim.json must parse");
-    let root = v.as_obj().expect("top-level object");
-    assert_eq!(root.get("bench").and_then(|b| b.as_str()), Some("shim"));
-    let num = |path: &[&str]| -> f64 {
-        let mut cur = &v;
-        for p in path {
-            cur = cur
-                .as_obj()
-                .and_then(|o| o.get(*p))
-                .unwrap_or_else(|| panic!("missing {path:?}"));
-        }
-        match cur {
-            bf4_obs::json::Value::Num(n) => *n,
-            _ => panic!("{path:?} not numeric"),
-        }
-    };
-    assert_eq!(num(&["recovery", "acked_lost"]), 0.0);
-    assert_eq!(num(&["audit", "invalid_admitted"]), 0.0);
-    assert!(num(&["throughput", "speedup"]) > 1.0);
-    assert!(num(&["stages", "burst", "p99_us"]) >= num(&["stages", "burst", "p50_us"]));
 }

@@ -1,11 +1,11 @@
-//! Shard-pool concurrency properties of the sharded shim.
+//! Properties of the batched shim's single validator.
 //!
-//! * Validation verdicts and the state digest are independent of the
-//!   shard count — the monolithic shim is the reference semantics and
-//!   every pool size must reproduce it byte for byte.
-//! * Multi-table assertions hold across shard boundaries: a violating
-//!   pair is rejected even when the two tables live on different shards
-//!   (the two-phase lock + mirror path).
+//! * Batched verdicts are monolithic verdicts: at batch size 1 the
+//!   batched shim agrees with [`Shim::apply`] update for update, and the
+//!   journal of a larger-batch run replays through `Shim::apply` into
+//!   every acknowledged rule id and the live digest.
+//! * Multi-table assertions hold whether the violating pair is staged in
+//!   one batch or arrives across two.
 //! * Verdict *counts*, journal recovery, and the assertion audit are
 //!   independent of thread interleaving.
 //! * Admission control sheds deterministically with `Overloaded` and
@@ -14,9 +14,8 @@
 use bf4_core::driver::{verify, VerifyOptions};
 use bf4_core::specs::AnnotationFile;
 use bf4_shim::controller::{Controller, WorkloadConfig};
-use bf4_shim::{
-    Batch, BatchReject, RuleUpdate, ShardedShim, Shim, ShimConfig, ShimError, Update,
-};
+use bf4_shim::journal::parse_frames;
+use bf4_shim::{Batch, RuleUpdate, ShardedShim, Shim, ShimConfig, ShimError, Update};
 
 fn nat_annotations() -> AnnotationFile {
     verify(bf4_core::testutil::NAT_SOURCE, &VerifyOptions::default())
@@ -24,32 +23,21 @@ fn nat_annotations() -> AnnotationFile {
         .annotations
 }
 
-fn sharded(annotations: &AnnotationFile, shards: usize) -> ShardedShim {
+fn batched(annotations: &AnnotationFile) -> ShardedShim {
     ShardedShim::new(
         annotations,
         &ShimConfig {
-            shards,
             max_inflight: usize::MAX,
             journal_path: None,
-            fsync_per_update: false,
         },
     )
     .unwrap()
 }
 
-/// Render a batch outcome into a comparable verdict string.
-fn verdict(r: &Result<bf4_shim::BatchDecision, BatchReject>) -> String {
-    match r {
-        Ok(d) => format!("ok ids={:?}", d.rule_ids),
-        Err(rej) => format!("reject at {:?}: {}", rej.index, rej.error),
-    }
-}
-
-#[test]
-fn verdicts_and_digest_independent_of_shard_count() {
-    let annotations = nat_annotations();
-    let updates = Controller::new(
-        &annotations,
+/// A mixed NAT workload: benign and faulty inserts, deletes, defaults.
+fn mixed_workload(annotations: &AnnotationFile) -> Vec<Update> {
+    Controller::new(
+        annotations,
         WorkloadConfig {
             updates: 240,
             faulty_fraction: 0.15,
@@ -58,52 +46,77 @@ fn verdicts_and_digest_independent_of_shard_count() {
             ..WorkloadConfig::default()
         },
     )
-    .workload();
-    let batches = bf4_shim::campaign::chunk(updates.clone(), 5);
+    .workload()
+}
 
-    let mut reference: Option<(Vec<String>, u64)> = None;
-    for shards in [1usize, 2, 4, 7] {
-        let shim = sharded(&annotations, shards);
-        let verdicts: Vec<String> = batches
-            .iter()
-            .map(|b| verdict(&shim.apply_batch(b)))
-            .collect();
-        let digest = shim.state_digest();
-        match &reference {
-            None => reference = Some((verdicts, digest)),
-            Some((ref_verdicts, ref_digest)) => {
-                assert_eq!(
-                    &verdicts, ref_verdicts,
-                    "verdict sequence diverged at {shards} shards"
-                );
-                assert_eq!(digest, *ref_digest, "state digest diverged at {shards} shards");
-            }
-        }
-    }
-
-    // At batch size 1 the sharded shim must agree with the monolithic
-    // shim update for update: same ok/err, same rule ids, same digest.
-    let shim = sharded(&annotations, 4);
+#[test]
+fn batched_verdicts_match_monolithic_apply() {
+    let annotations = nat_annotations();
+    let updates = mixed_workload(&annotations);
+    let shim = batched(&annotations);
     let mut mono = Shim::new(&annotations);
+    let (mut accepted, mut rejected) = (0, 0);
     for u in &updates {
-        let sharded_out = shim.apply_batch(&Batch {
+        let batched_out = shim.apply_batch(&Batch {
             updates: vec![u.clone()],
         });
         let mono_out = mono.apply(u);
-        match (&sharded_out, &mono_out) {
-            (Ok(d), Ok(m)) => assert_eq!(d.rule_ids, vec![m.rule_id]),
+        match (&batched_out, &mono_out) {
+            (Ok(d), Ok(m)) => {
+                assert_eq!(d.rule_ids, vec![m.rule_id]);
+                accepted += 1;
+            }
             (Err(rej), Err(e)) => {
                 assert_eq!(rej.index, Some(0));
-                assert_eq!(rej.error.to_string(), e.to_string());
+                assert_eq!(&rej.error, e);
+                rejected += 1;
             }
             _ => panic!(
-                "sharded and monolithic verdicts diverged: {:?} vs {:?}",
-                sharded_out.as_ref().map(|d| &d.rule_ids),
+                "batched and monolithic verdicts diverged: {:?} vs {:?}",
+                batched_out.as_ref().map(|d| &d.rule_ids),
                 mono_out.as_ref().map(|d| d.rule_id)
             ),
         }
     }
+    assert!(accepted > 0 && rejected > 0, "workload must mix verdicts");
     assert_eq!(shim.state_digest(), mono.state_digest());
+}
+
+#[test]
+fn batched_journal_replays_through_monolithic_apply() {
+    let annotations = nat_annotations();
+    let shim = batched(&annotations);
+    let batches = bf4_shim::campaign::chunk(mixed_workload(&annotations), 5);
+    let mut acked = Vec::new();
+    for b in &batches {
+        if let Ok(d) = shim.apply_batch(b) {
+            acked.push((b.clone(), d));
+        }
+    }
+    assert!(
+        !acked.is_empty() && acked.len() < batches.len(),
+        "workload must both accept and reject batches"
+    );
+
+    // The journal holds exactly the acknowledged batches, in order, and
+    // replaying them through the monolithic shim reproduces every rule
+    // id the batched shim handed out and its final state.
+    let frames = parse_frames(&shim.journal_bytes()).frames;
+    assert_eq!(frames.len(), acked.len());
+    let mut mono = Shim::new(&annotations);
+    for (frame, (batch, decision)) in frames.iter().zip(&acked) {
+        assert_eq!(frame.seq, Some(decision.seq));
+        let updates: Vec<&Update> = frame.entries.iter().map(|e| &e.update).collect();
+        assert_eq!(updates, batch.updates.iter().collect::<Vec<_>>());
+        for (entry, id) in frame.entries.iter().zip(&decision.rule_ids) {
+            assert_eq!(entry.rule_id, *id);
+            let d = mono
+                .apply(&entry.update)
+                .expect("acknowledged update replays");
+            assert_eq!(d.rule_id, *id, "replay assigned another rule id");
+        }
+    }
+    assert_eq!(mono.state_digest(), shim.state_digest());
 }
 
 /// Two single-key tables tied by a multi-table assertion: no live pair
@@ -134,23 +147,43 @@ fn insert(table: &str, k: u128) -> Update {
     }
 }
 
+fn partner(error: &ShimError) -> (&str, Option<(&str, usize)>) {
+    match error {
+        ShimError::AssertionViolated { table, partner, .. } => (
+            table.as_str(),
+            partner.as_ref().map(|(t, i)| (t.as_str(), *i)),
+        ),
+        e => panic!("expected AssertionViolated, got {e}"),
+    }
+}
+
 #[test]
-fn joint_specs_enforced_across_shard_boundaries() {
+fn joint_specs_enforced_within_and_across_batches() {
     let annotations = AnnotationFile::parse(JOINT_ANNOTATIONS).unwrap();
 
-    // Find a pool size that actually separates the two tables — the
-    // cross-shard lock + mirror path is what this test is about.
-    let shards = (2..=8)
-        .find(|&n| {
-            let s = sharded(&annotations, n);
-            s.owner_shard("ig.alpha") != s.owner_shard("ig.beta")
+    // Inside one batch: the third update completes a violating pair
+    // with the second, which is only staged; the whole batch goes.
+    let shim = batched(&annotations);
+    let rej = shim
+        .apply_batch(&Batch {
+            updates: vec![
+                insert("ig.alpha", 2),
+                insert("ig.alpha", 1),
+                insert("ig.beta", 1),
+            ],
         })
-        .expect("some pool size must split the two tables");
-    let shim = sharded(&annotations, shards);
-    assert_ne!(shim.owner_shard("ig.alpha"), shim.owner_shard("ig.beta"));
+        .expect_err("a pair staged in one batch must be rejected");
+    assert_eq!(rej.index, Some(2));
+    assert_eq!(partner(&rej.error), ("ig.beta", Some(("ig.alpha", 1))));
+    assert_eq!(
+        shim.state_digest(),
+        batched(&annotations).state_digest(),
+        "rejected batch must leave no trace"
+    );
+    assert_eq!(shim.shadow_size("ig.alpha"), 0);
 
-    // alpha k=1 alone is fine; beta k=2 is fine; beta k=1 joins alpha
-    // k=1 into a violating pair and must be rejected whole-batch.
+    // Across two batches: alpha k=1 and beta k=2 are fine; a later beta
+    // k=1 joins alpha k=1 into a violating pair.
     let d = shim
         .apply_batch(&Batch {
             updates: vec![insert("ig.alpha", 1), insert("ig.beta", 2)],
@@ -158,25 +191,22 @@ fn joint_specs_enforced_across_shard_boundaries() {
         .expect("benign batch");
     assert_eq!(d.rule_ids, vec![Some(0), Some(0)]);
     let pre = shim.state_digest();
-
     let rej = shim
         .apply_batch(&Batch {
             updates: vec![insert("ig.beta", 1)],
         })
         .expect_err("violating pair must be rejected");
     assert_eq!(rej.index, Some(0));
-    match &rej.error {
-        ShimError::AssertionViolated { table, partner, .. } => {
-            assert_eq!(table, "ig.beta");
-            assert_eq!(partner.as_deref_pair(), Some(("ig.alpha", 0)));
-        }
-        e => panic!("expected AssertionViolated, got {e}"),
-    }
-    assert_eq!(shim.state_digest(), pre, "rejected batch must leave no trace");
+    assert_eq!(partner(&rej.error), ("ig.beta", Some(("ig.alpha", 0))));
+    assert_eq!(
+        shim.state_digest(),
+        pre,
+        "rejected batch must leave no trace"
+    );
 
-    // The same violation caught from the other side: a fresh shim with
-    // beta k=1 live rejects alpha k=1 via the primary-spec path.
-    let other = sharded(&annotations, shards);
+    // The same violation caught from the other side: with beta k=1 live,
+    // alpha k=1 is rejected via the primary-spec path.
+    let other = batched(&annotations);
     other
         .apply_batch(&Batch {
             updates: vec![insert("ig.beta", 1)],
@@ -187,17 +217,10 @@ fn joint_specs_enforced_across_shard_boundaries() {
             updates: vec![insert("ig.alpha", 1)],
         })
         .expect_err("violating pair must be rejected from either side");
-    match &rej.error {
-        ShimError::AssertionViolated { table, partner, .. } => {
-            assert_eq!(table, "ig.alpha");
-            assert_eq!(partner.as_deref_pair(), Some(("ig.beta", 0)));
-        }
-        e => panic!("expected AssertionViolated, got {e}"),
-    }
+    assert_eq!(partner(&rej.error), ("ig.alpha", Some(("ig.beta", 0))));
 
-    // Deleting the alpha rule dissolves the pair; beta k=1 now passes.
-    // A *single batch* staging both (delete then insert) must also pass:
-    // the mirror sees the staged delete.
+    // A staged delete dissolves the pair within its batch: deleting the
+    // alpha rule first lets beta k=1 through in the same batch.
     shim.apply_batch(&Batch {
         updates: vec![
             Update::Delete {
@@ -211,39 +234,6 @@ fn joint_specs_enforced_across_shard_boundaries() {
     assert_eq!(shim.shadow_size("ig.alpha"), 0);
     assert_eq!(shim.shadow_size("ig.beta"), 2);
     assert!(shim.audit_violations().is_empty());
-
-    // Verdict parity for the full scenario against a single-shard pool.
-    let single = sharded(&annotations, 1);
-    for b in [
-        Batch {
-            updates: vec![insert("ig.alpha", 1), insert("ig.beta", 2)],
-        },
-        Batch {
-            updates: vec![insert("ig.beta", 1)],
-        },
-        Batch {
-            updates: vec![
-                Update::Delete {
-                    table: "ig.alpha".to_string(),
-                    rule_id: 0,
-                },
-                insert("ig.beta", 1),
-            ],
-        },
-    ] {
-        let _ = single.apply_batch(&b);
-    }
-    assert_eq!(single.state_digest(), shim.state_digest());
-}
-
-trait PartnerExt {
-    fn as_deref_pair(&self) -> Option<(&str, usize)>;
-}
-
-impl PartnerExt for Option<(String, usize)> {
-    fn as_deref_pair(&self) -> Option<(&str, usize)> {
-        self.as_ref().map(|(t, i)| (t.as_str(), *i))
-    }
 }
 
 #[test]
@@ -268,7 +258,10 @@ fn verdict_counts_independent_of_thread_interleaving() {
     let mut mono = Shim::new(&annotations);
     let expect_accepted = updates.iter().filter(|u| mono.apply(u).is_ok()).count();
     let expect_rejected = updates.len() - expect_accepted;
-    assert!(expect_accepted > 0 && expect_rejected > 0, "workload must mix");
+    assert!(
+        expect_accepted > 0 && expect_rejected > 0,
+        "workload must mix"
+    );
 
     let path = std::env::temp_dir().join(format!(
         "bf4-shard-interleave-{}.journal",
@@ -278,10 +271,8 @@ fn verdict_counts_independent_of_thread_interleaving() {
     let shim = ShardedShim::new(
         &annotations,
         &ShimConfig {
-            shards: 4,
             max_inflight: usize::MAX,
             journal_path: Some(path.clone()),
-            fsync_per_update: false,
         },
     )
     .unwrap();
@@ -308,7 +299,10 @@ fn verdict_counts_independent_of_thread_interleaving() {
         }
     });
     let accepted = accepted.into_inner();
-    assert_eq!(accepted, expect_accepted, "accept count depends on interleaving");
+    assert_eq!(
+        accepted, expect_accepted,
+        "accept count depends on interleaving"
+    );
     let stats = shim.stats();
     assert_eq!(stats.batches_acked as usize, expect_accepted);
     assert_eq!(stats.batches_rejected as usize, expect_rejected);
@@ -322,10 +316,8 @@ fn verdict_counts_independent_of_thread_interleaving() {
         &annotations,
         &disk,
         &ShimConfig {
-            shards: 3,
             max_inflight: usize::MAX,
             journal_path: None,
-            fsync_per_update: false,
         },
     )
     .unwrap();
@@ -353,10 +345,8 @@ fn overload_sheds_whole_batches_without_trace() {
     let shim = ShardedShim::new(
         &annotations,
         &ShimConfig {
-            shards: 2,
             max_inflight: 0,
             journal_path: None,
-            fsync_per_update: false,
         },
     )
     .unwrap();
@@ -372,6 +362,9 @@ fn overload_sheds_whole_batches_without_trace() {
     let stats = shim.stats();
     assert_eq!(stats.batches_acked, 0);
     assert_eq!(stats.batches_shed, 8);
-    assert!(shim.journal_bytes().is_empty(), "shed batches must not journal");
-    assert_eq!(shim.state_digest(), sharded(&annotations, 2).state_digest());
+    assert!(
+        shim.journal_bytes().is_empty(),
+        "shed batches must not journal"
+    );
+    assert_eq!(shim.state_digest(), batched(&annotations).state_digest());
 }

@@ -53,7 +53,9 @@ pub fn new_solver(config: &SolverConfig) -> GovernedSolver {
 }
 
 /// Build a governed solver with [`SolverConfig::default`]'s budget, the
-/// one the pipeline's default options carry.
+/// one the pipeline's default options carry: [`ResourceBudget::default`],
+/// with no deadline and no caps, so verdicts do not depend on host speed.
+/// Bound queries with [`SolverConfig::with_timeout`] and [`new_solver`].
 pub fn default_solver() -> GovernedSolver {
     new_solver(&SolverConfig::default())
 }
@@ -87,11 +89,11 @@ pub struct GovernedSolver {
 }
 
 impl Default for GovernedSolver {
-    /// Governed solver with the bounded default budget.
+    /// Governed solver with the unlimited [`ResourceBudget::default`].
     fn default() -> Self {
         GovernedSolver {
             primary: IncrementalSolver::new(),
-            budget: ResourceBudget::bounded_default(),
+            budget: ResourceBudget::default(),
             stats: GovernanceStats::default(),
             last_error: None,
         }

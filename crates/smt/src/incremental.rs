@@ -250,14 +250,19 @@ impl Solver for IncrementalSolver {
             }
             _ => return Vec::new(),
         };
+        // Its own span, so profiles tell the trial solves apart from the
+        // caller's self time.
+        let mut sp = bf4_obs::span("smt", "core");
         let limits = SolveLimits {
             deadline: self.budget.timeout.map(|t| Instant::now() + t),
             max_conflicts: self.budget.max_conflicts,
         };
         let sat = &mut self.ctx.as_mut().unwrap().sat;
         let mut kept: Vec<usize> = (0..all.len()).collect();
+        let mut trials = 0u64;
         let mut i = 0;
         while i < kept.len() {
+            trials += 1;
             let mut trial = frame_lits.clone();
             trial.extend(
                 kept.iter()
@@ -272,6 +277,11 @@ impl Solver for IncrementalSolver {
             } else {
                 i += 1;
             }
+        }
+        bf4_obs::counter_add("smt.core_trials", trials);
+        if sp.is_active() {
+            sp.add_tag("atoms", all.len().to_string());
+            sp.add_tag("trials", trials.to_string());
         }
         kept
     }

@@ -75,9 +75,10 @@ impl std::error::Error for SolverError {}
 
 /// Resource limits for solver queries.
 ///
-/// The default budget is unlimited, matching the historical behavior of the
-/// raw backends; [`crate::governed::GovernedSolver`] installs a bounded
-/// default so nothing it runs can hang the pipeline.
+/// The default budget is unlimited, and it is what every solver runs
+/// under unless a caller sets another one: an unbounded query gives the
+/// same verdict on any host, however slow. A deadline comes only from
+/// [`crate::governed::SolverConfig::with_timeout`] (`--timeout-ms`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResourceBudget {
     /// Per-query wall-clock deadline.
@@ -108,9 +109,10 @@ impl Default for ResourceBudget {
 }
 
 impl ResourceBudget {
-    /// The bounded budget [`crate::governed::GovernedSolver`] uses unless
-    /// told otherwise: generous enough for every corpus program, small
-    /// enough that a degenerate query cannot hang a run.
+    /// A bounded budget, generous enough for every corpus program and
+    /// small enough that a degenerate query cannot hang a run.
+    /// [`crate::governed::SolverConfig::with_timeout`] starts from it and
+    /// replaces its deadline; nothing applies it by default.
     pub fn bounded_default() -> ResourceBudget {
         ResourceBudget {
             timeout: Some(Duration::from_secs(30)),
