@@ -14,11 +14,16 @@ cargo clippy --all-targets --offline -- -D warnings
 
 echo "==> fault-injection controller smoke test"
 # Drives the simulated controller's fault-injection mode through every
-# ShimError path and the journal crash-recovery property, by name, so a
-# filtered-out or renamed test fails loudly here.
+# ShimError path, its benign stream through the shim with nothing
+# refused, and the journal crash-recovery property (a recovered
+# ShardedShim decides and journals like an uninterrupted one), by name,
+# so a filtered-out or renamed test fails loudly here.
 cargo test -q -p bf4-shim --offline \
     fault_injection_exercises_every_shim_error_path \
     -- --exact controller::tests::fault_injection_exercises_every_shim_error_path
+cargo test -q -p bf4-shim --offline \
+    benign_stream_is_refused_nothing \
+    -- --exact controller::tests::benign_stream_is_refused_nothing
 cargo test -q -p bf4-shim --offline \
     recovered_shim_decides_like_uninterrupted_run \
     -- --exact journal::tests::recovered_shim_decides_like_uninterrupted_run
@@ -26,13 +31,13 @@ cargo test -q -p bf4-shim --offline \
 echo "==> CLI solver-governance smoke test"
 # A hard per-query budget must terminate and degrade, never hang or
 # report bug-free: exit code 1 (bugs remain) or 0, not 2/101.
-out=$(cargo run -q --release --offline -p bf4-engine --bin bf4 -- \
+out=$(cargo run -q --release --offline -p bf4-daemon --bin bf4 -- \
     crates/corpus/programs/simple_nat.p4 --timeout-ms 2000 --quiet) || [ $? -eq 1 ]
 echo "$out" | head -2
 
 echo "==> CLI parallel smoke test (--jobs 2)"
 # The engine path must terminate with the same exit-code contract.
-out=$(cargo run -q --release --offline -p bf4-engine --bin bf4 -- \
+out=$(cargo run -q --release --offline -p bf4-daemon --bin bf4 -- \
     crates/corpus/programs/simple_nat.p4 --jobs 2 --cache-cap 4096 --quiet) \
     || [ $? -eq 1 ]
 echo "$out" | head -2
@@ -97,6 +102,20 @@ cargo test -q -p bf4-shim --offline --test journal_fault \
     fsync_fault_mid_persist_then_reopen_loses_nothing \
     -- --exact fsync_fault_mid_persist_then_reopen_loses_nothing
 
+echo "==> durable record log (crash at any byte offset)"
+# The one on-disk log under the cache store, the telemetry series and the
+# shim journal: salvage after a cut and/or a flipped byte returns exactly
+# the intact records, a torn replace leaves the old bytes, an append after
+# a torn tail loses nothing; and the cache WAL's own torn-tail case.
+for t in salvage_returns_exactly_the_intact_records \
+    torn_replace_leaves_the_old_bytes \
+    append_after_a_torn_tail_returns_every_record; do
+    cargo test -q -p bf4-obs --offline --test durable_props "$t" -- --exact "$t"
+done
+cargo test -q -p bf4-engine --offline --lib \
+    append_after_torn_wal_tail_keeps_every_key \
+    -- --exact persist::tests::append_after_torn_wal_tail_keeps_every_key
+
 echo "==> batched-shim suites (monolithic parity, joint specs, crash atomicity, torn commits)"
 # The line-rate shim's load-bearing properties by name: batched verdicts,
 # rule ids and digest equal to the monolithic Shim::apply, multi-table
@@ -125,7 +144,7 @@ echo "==> tracing smoke test (--trace-out + trace-lint)"
 # layer; trace-lint validates each JSONL line and requires the layers,
 # so a silently un-instrumented stage fails here instead of shrinking
 # the trace.
-out=$(cargo run -q --release --offline -p bf4-engine --bin bf4 -- \
+out=$(cargo run -q --release --offline -p bf4-daemon --bin bf4 -- \
     crates/corpus/programs/simple_nat.p4 crates/corpus/programs/multi_tenant.p4 \
     --jobs 4 --cache-cap 4096 --trace-out "$tmpdir/trace.jsonl" --quiet) \
     || [ $? -eq 1 ]
@@ -343,7 +362,7 @@ echo "==> BF4_FAULTS CLI smoke + fault audit"
 # The CLI must honor a BF4_FAULTS schedule end to end: same exit-code
 # contract, and the injected sites auditable from the trace afterwards.
 out=$(BF4_FAULTS="seed=5,smt.backend_error=p0.2" \
-    cargo run -q --release --offline -p bf4-engine --bin bf4 -- \
+    cargo run -q --release --offline -p bf4-daemon --bin bf4 -- \
     crates/corpus/programs/simple_nat.p4 --jobs 2 --cache-cap 4096 \
     --trace-out "$tmpdir/faults.jsonl" --quiet 2>/dev/null) || [ $? -eq 1 ]
 cargo run -q --release --offline -p bf4-bench --bin report -- \

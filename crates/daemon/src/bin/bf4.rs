@@ -73,6 +73,7 @@
 //! violation), 2 on usage or frontend errors.
 
 use bf4_core::driver::{verify, Report, VerifyOptions};
+use bf4_daemon::proto::{self, Request, Stream};
 use bf4_engine::{verify_corpus, EngineConfig, EngineStats};
 use std::io::Write;
 
@@ -422,46 +423,13 @@ fn dump_dot(source: &str, options: &VerifyOptions) -> Result<String, String> {
 
 // ---------------------------------------------------------------------------
 // `bf4 client` — talk to a running `bf4d` over its length-prefixed JSON
-// protocol. The engine crate cannot depend on bf4-daemon (the daemon
-// depends on the engine), so the tiny frame + JSON encoding lives here;
-// the wire format is documented in `bf4_daemon::proto` and covered by the
-// ci.sh daemon smoke, which diffs a client round trip against a one-shot
-// run.
+// protocol, through the daemon's own codec (`bf4_daemon::proto`).
 
 /// Where the daemon listens; each request opens a fresh connection (the
 /// daemon serves connections sequentially).
 enum Endpoint {
     Unix(std::path::PathBuf),
     Tcp(String),
-}
-
-enum ClientConn {
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
-}
-
-impl std::io::Read for ClientConn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ClientConn::Unix(s) => s.read(buf),
-            ClientConn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientConn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ClientConn::Unix(s) => s.write(buf),
-            ClientConn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ClientConn::Unix(s) => s.flush(),
-            ClientConn::Tcp(s) => s.flush(),
-        }
-    }
 }
 
 fn client_usage(msg: &str) -> ! {
@@ -472,44 +440,26 @@ fn client_usage(msg: &str) -> ! {
 /// One request/response round trip; connection and protocol failures are
 /// fatal with exit code 2 (the daemon is unreachable or broken, there is
 /// no verdict to report).
-fn client_request(endpoint: &Endpoint, body: &str) -> bf4_obs::json::Value {
-    let mut conn = match endpoint {
-        Endpoint::Unix(path) => match std::os::unix::net::UnixStream::connect(path) {
-            Ok(s) => ClientConn::Unix(s),
-            Err(e) => {
-                eprintln!("bf4 client: cannot connect to {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        },
-        Endpoint::Tcp(addr) => match std::net::TcpStream::connect(addr) {
-            Ok(s) => ClientConn::Tcp(s),
-            Err(e) => {
-                eprintln!("bf4 client: cannot connect to {addr}: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
+fn client_request(endpoint: &Endpoint, request: &Request) -> bf4_obs::json::Value {
     let fail = |what: &str, e: &dyn std::fmt::Display| -> ! {
         eprintln!("bf4 client: {what}: {e}");
         std::process::exit(2);
     };
-    // 4-byte big-endian length prefix, then the JSON body.
-    let len = u32::try_from(body.len()).unwrap_or_else(|e| fail("request too large", &e));
-    conn.write_all(&len.to_be_bytes())
-        .and_then(|()| conn.write_all(body.as_bytes()))
-        .and_then(|()| conn.flush())
+    let (target, conn) = match endpoint {
+        Endpoint::Unix(path) => (
+            path.display().to_string(),
+            std::os::unix::net::UnixStream::connect(path).map(Stream::Unix),
+        ),
+        Endpoint::Tcp(addr) => (addr.clone(), std::net::TcpStream::connect(addr).map(Stream::Tcp)),
+    };
+    let mut conn = conn.unwrap_or_else(|e| fail(&format!("cannot connect to {target}"), &e));
+    proto::write_frame(&mut conn, &proto::encode_request(request))
         .unwrap_or_else(|e| fail("send failed", &e));
-    let mut len_buf = [0u8; 4];
-    std::io::Read::read_exact(&mut conn, &mut len_buf)
-        .unwrap_or_else(|e| fail("no response", &e));
-    let rlen = u32::from_be_bytes(len_buf);
-    if rlen > 64 * 1024 * 1024 {
-        fail("response frame too large", &rlen);
-    }
-    let mut rbody = vec![0u8; rlen as usize];
-    std::io::Read::read_exact(&mut conn, &mut rbody)
-        .unwrap_or_else(|e| fail("truncated response", &e));
-    let text = String::from_utf8(rbody).unwrap_or_else(|e| fail("response not UTF-8", &e));
+    let text = match proto::read_frame(&mut conn) {
+        Ok(Some(text)) => text,
+        Ok(None) => fail("no response", &"connection closed"),
+        Err(e) => fail("bad response", &e),
+    };
     bf4_obs::json::parse(&text).unwrap_or_else(|e| fail("response not JSON", &e))
 }
 
@@ -590,14 +540,6 @@ fn print_verdict(v: &bf4_obs::json::Value, normalized: bool) -> i32 {
         println!("{summary}");
     }
     i32::try_from(response_u64(v, "exit_code")).unwrap_or(1)
-}
-
-fn submit_body(program: &str, source: &str) -> String {
-    format!(
-        "{{\"op\":\"submit\",\"program\":{},\"source\":{}}}",
-        bf4_obs::json::escape(program),
-        bf4_obs::json::escape(source)
-    )
 }
 
 /// Derive the daemon-side program name from a path: file stem, falling
@@ -684,20 +626,18 @@ fn client_main(args: &[String]) -> i32 {
                 eprintln!("bf4 client: cannot read {path}: {e}");
                 std::process::exit(2);
             });
-            let name = program_name(path, program.as_deref());
-            let v = client_request(&endpoint, &submit_body(&name, &source));
-            print_verdict(&v, normalized)
+            let request = Request::Submit {
+                program: program_name(path, program.as_deref()),
+                source,
+            };
+            print_verdict(&client_request(&endpoint, &request), normalized)
         }
         "status" => {
-            let name = positional
+            let program = positional
                 .first()
-                .unwrap_or_else(|| client_usage("status expects a program name"));
-            let body = format!(
-                "{{\"op\":\"status\",\"program\":{}}}",
-                bf4_obs::json::escape(name)
-            );
-            let v = client_request(&endpoint, &body);
-            print_verdict(&v, normalized)
+                .unwrap_or_else(|| client_usage("status expects a program name"))
+                .clone();
+            print_verdict(&client_request(&endpoint, &Request::Status { program }), normalized)
         }
         "watch" => {
             let path = positional
@@ -711,8 +651,11 @@ fn client_main(args: &[String]) -> i32 {
             loop {
                 match std::fs::read_to_string(path) {
                     Ok(source) => {
-                        let v = client_request(&endpoint, &submit_body(&name, &source));
-                        print_verdict(&v, normalized);
+                        let request = Request::Submit {
+                            program: name.clone(),
+                            source,
+                        };
+                        print_verdict(&client_request(&endpoint, &request), normalized);
                     }
                     Err(e) => eprintln!("bf4 client: cannot read {path}: {e}"),
                 }
@@ -729,7 +672,7 @@ fn client_main(args: &[String]) -> i32 {
             }
         }
         "stats" => {
-            let v = client_request(&endpoint, "{\"op\":\"stats\"}");
+            let v = client_request(&endpoint, &Request::Stats);
             check_ok(&v);
             for key in [
                 "requests",
@@ -751,19 +694,19 @@ fn client_main(args: &[String]) -> i32 {
             0
         }
         "metrics" => {
-            let v = client_request(&endpoint, "{\"op\":\"metrics\"}");
+            let v = client_request(&endpoint, &Request::Metrics);
             check_ok(&v);
             print!("{}", response_str(&v, "metrics"));
             0
         }
         "ping" => {
-            let v = client_request(&endpoint, "{\"op\":\"ping\"}");
+            let v = client_request(&endpoint, &Request::Ping);
             check_ok(&v);
             println!("pong");
             0
         }
         "shutdown" => {
-            let v = client_request(&endpoint, "{\"op\":\"shutdown\"}");
+            let v = client_request(&endpoint, &Request::Shutdown);
             check_ok(&v);
             println!("shutdown: ok");
             0
@@ -796,9 +739,9 @@ struct TopSnapshot {
 }
 
 fn top_poll(endpoint: &Endpoint) -> TopSnapshot {
-    let v = client_request(endpoint, "{\"op\":\"stats\"}");
+    let v = client_request(endpoint, &Request::Stats);
     check_ok(&v);
-    let m = client_request(endpoint, "{\"op\":\"metrics\"}");
+    let m = client_request(endpoint, &Request::Metrics);
     check_ok(&m);
     let quantile = |q: &str| -> Option<f64> {
         let text = m.as_obj()?.get("metrics")?.as_str()?;

@@ -39,16 +39,8 @@ pub struct BugPrint {
 }
 
 fn mix(slice_fp: u64, cond_key: u128) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in slice_fp
-        .to_le_bytes()
-        .iter()
-        .chain(cond_key.to_le_bytes().iter())
-    {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    use bf4_obs::durable::{fnv1a, fnv1a_update};
+    fnv1a_update(fnv1a(&slice_fp.to_le_bytes()), &cond_key.to_le_bytes())
 }
 
 /// Compute identity and fingerprint for every bug of a prepared round,

@@ -22,6 +22,8 @@ use crate::{DaemonStats, SubmitOutcome};
 use bf4_engine::CacheStats;
 use bf4_obs::json::{self, Value};
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 
 /// Frames larger than this are rejected (a corrupt or hostile length
 /// prefix must not trigger a giant allocation).
@@ -190,6 +192,39 @@ pub fn encode_response(resp: &Response) -> String {
         Response::Shutdown => "{\"ok\":true,\"shutdown\":true}".to_string(),
         Response::Error { error } => {
             format!("{{\"ok\":false,\"error\":{}}}", json::escape(error))
+        }
+    }
+}
+
+/// One connection over either transport the protocol runs on, for the
+/// daemon's accept loop and the `bf4` client alike.
+pub enum Stream {
+    /// A unix-domain socket (the default transport).
+    Unix(UnixStream),
+    /// A TCP socket.
+    Tcp(TcpStream),
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
+        }
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
         }
     }
 }

@@ -11,9 +11,9 @@
 //! connection; a `shutdown` request persists the cache, answers, and
 //! returns from [`serve`].
 
-use crate::proto::{self, Request};
+use crate::proto::{self, Request, Stream};
 use crate::Daemon;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
@@ -59,8 +59,8 @@ pub fn serve(listener: Listener, daemon: &mut Daemon, opts: &ServeOptions) -> io
     }
     loop {
         let conn = match &listener {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
         };
         let mut conn = match conn {
             Ok(c) => c,
@@ -82,39 +82,10 @@ pub fn serve(listener: Listener, daemon: &mut Daemon, opts: &ServeOptions) -> io
     }
 }
 
-enum Conn {
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// Serve one connection; `Ok(true)` means a shutdown was requested.
 fn serve_connection(
     daemon: &mut Daemon,
-    conn: &mut Conn,
+    conn: &mut Stream,
     opts: &ServeOptions,
 ) -> io::Result<bool> {
     while let Some(body) = proto::read_frame(conn)? {

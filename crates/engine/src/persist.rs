@@ -3,18 +3,19 @@
 //! The ROADMAP's `bf4d` incremental service re-verifies programs across
 //! process lifetimes, so the cache's canonical `key → Sat/Unsat` map must
 //! survive restarts *and* crashes without ever poisoning a verdict. The
-//! store mirrors the shim journal's durability discipline in a two-file
-//! layout under `--cache-dir`:
+//! bytes on disk go through [`bf4_obs::durable`], the record log the shim
+//! journal and the telemetry series use too, in a two-file layout under
+//! `--cache-dir`:
 //!
 //! * `snap-<generation>.bf4q` — an immutable **snapshot**: one header
-//!   line plus one line per entry, every line individually checksummed
-//!   (FNV-1a, the journal's checksum). Snapshots are written to a temp
-//!   file, fsynced, then atomically renamed — a crash mid-compaction
-//!   leaves the previous generation intact.
+//!   line plus one line per entry, every line a sealed (FNV-1a
+//!   checksummed) line. Snapshots are written by atomic replace — a
+//!   crash mid-compaction leaves the previous generation intact.
 //! * `wal.bf4q` — an append-only **log** of entries computed since the
-//!   snapshot, same line format. Appends are the cheap steady-state save;
-//!   once the log rivals the snapshot in size, a save compacts: new
-//!   snapshot, next generation, log deleted.
+//!   snapshot, same line format. Appends are the cheap steady-state save
+//!   and cut a torn tail off before writing; once the log rivals the
+//!   snapshot in size, a save compacts: new snapshot, next generation,
+//!   log deleted.
 //!
 //! Recovery is per-line: any line whose checksum or syntax fails —
 //! torn tail, truncation, bit flip — is dropped and counted in
@@ -32,9 +33,10 @@
 //! torn file behind so recovery is exercised against real torn state.
 
 use crate::cache::QueryCache;
+use bf4_obs::durable::{self, Appender};
 use bf4_smt::SatResult;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Format version of the store. Bump on any layout change.
@@ -46,45 +48,13 @@ const LOG_MAGIC: &str = "bf4ql";
 /// Name of the append-only log file.
 const LOG_NAME: &str = "wal.bf4q";
 
-/// FNV-1a over bytes — the same checksum the shim journal uses. Each
-/// input byte multiplies the state by an odd prime, a bijection on u64,
-/// so any single-byte change always changes the hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn checksummed(payload: &str) -> String {
-    format!("{payload} #{:016x}\n", fnv1a(payload.as_bytes()))
-}
-
-/// Split `payload #checksum`, verifying the checksum. `None` = corrupt.
-///
-/// The checksum field must be *canonical*: exactly 16 lowercase hex
-/// chars. A permissive parse (`from_str_radix` accepts uppercase and a
-/// sign) would let some single-bit flips — e.g. `b` → `B` — produce a
-/// different byte that still verifies, weakening the
-/// every-mutation-is-detected guarantee the property test pins down.
-fn verify_line(line: &str) -> Option<&str> {
-    let (payload, sum) = line.rsplit_once(" #")?;
-    if sum.len() != 16 || !sum.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-        return None;
-    }
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    (sum == fnv1a(payload.as_bytes())).then_some(payload)
-}
-
 fn encode_entry(key: u128, result: SatResult) -> String {
     let v = match result {
         SatResult::Sat => 'S',
         SatResult::Unsat => 'U',
         SatResult::Unknown => unreachable!("Unknown is never persisted"),
     };
-    checksummed(&format!("{key:032x} {v}"))
+    durable::seal(&format!("{key:032x} {v}"))
 }
 
 fn decode_entry(payload: &str) -> Option<(u128, SatResult)> {
@@ -108,11 +78,10 @@ struct Header {
 }
 
 fn encode_header(magic: &str, fingerprint: u64, generation: u64) -> String {
-    checksummed(&format!("{magic} {VERSION} {fingerprint:016x} {generation}"))
+    durable::seal(&format!("{magic} {VERSION} {fingerprint:016x} {generation}"))
 }
 
-fn decode_header(line: &str, magic: &str) -> Option<Header> {
-    let payload = verify_line(line)?;
+fn decode_header(payload: &str, magic: &str) -> Option<Header> {
     let mut parts = payload.split(' ');
     if parts.next()? != magic {
         return None;
@@ -169,10 +138,6 @@ pub struct Store {
     saw_stale: bool,
     /// Keys already durable on disk; saves append only what is new.
     persisted: std::collections::HashSet<u128>,
-}
-
-fn injected_io(site: &'static str) -> io::Error {
-    io::Error::other(format!("injected fault: {site}"))
 }
 
 impl Store {
@@ -268,7 +233,7 @@ impl Store {
         report: &mut LoadReport,
     ) -> io::Result<Option<Header>> {
         if bf4_obs::fault::fire("cache.load_io") {
-            return Err(injected_io("cache.load_io"));
+            return Err(io::Error::other("injected fault: cache.load_io"));
         }
         let mut content = fs::read(path)?;
         if bf4_obs::fault::fire("cache.load_corrupt") && !content.is_empty() {
@@ -277,16 +242,15 @@ impl Store {
             let at = content.len() / 2;
             content[at] ^= 0x40;
         }
-        let content = String::from_utf8_lossy(&content);
-        let mut lines = content.split('\n').filter(|l| !l.is_empty());
-        let Some(header) = lines.next().and_then(|l| decode_header(l, magic)) else {
+        let mut lines = durable::salvage(&content);
+        let Some(header) = lines.next().flatten().and_then(|p| decode_header(p, magic)) else {
             return Ok(None);
         };
         if header.fingerprint != self.fingerprint {
             return Ok(None);
         }
         for line in lines {
-            match verify_line(line).and_then(decode_entry) {
+            match line.and_then(decode_entry) {
                 Some((key, result)) => {
                     cache.preload(key, result);
                     self.persisted.insert(key);
@@ -331,7 +295,8 @@ impl Store {
     }
 
     /// Append `fresh` entries to the log, creating it (with a header for
-    /// the live generation) if absent.
+    /// the live generation) if it holds no whole record. An injected
+    /// `cache.persist_io` fault tears the write half-way.
     fn append(&mut self, fresh: &[(u128, SatResult)]) -> io::Result<SaveReport> {
         if fresh.is_empty() {
             return Ok(SaveReport {
@@ -339,24 +304,16 @@ impl Store {
                 ..SaveReport::default()
             });
         }
-        let path = self.dir.join(LOG_NAME);
+        let mut log = Appender::open(&self.dir.join(LOG_NAME))?;
         let mut buf = String::new();
-        if !path.exists() {
+        if log.is_empty() {
             buf.push_str(&encode_header(LOG_MAGIC, self.fingerprint, self.generation));
         }
         for &(key, result) in fresh {
             buf.push_str(&encode_entry(key, result));
         }
-        let mut f = fs::OpenOptions::new().create(true).append(true).open(&path)?;
-        if bf4_obs::fault::fire("cache.persist_io") {
-            // Torn write: half the batch lands on disk, then the error.
-            let half = &buf.as_bytes()[..buf.len() / 2];
-            let _ = f.write_all(half);
-            let _ = f.sync_all();
-            return Err(injected_io("cache.persist_io"));
-        }
-        f.write_all(buf.as_bytes())?;
-        f.sync_all()?;
+        log.append(buf.as_bytes(), Some("cache.persist_io"))?;
+        log.sync()?;
         self.log_records += fresh.len() as u64;
         Ok(SaveReport {
             generation: self.generation,
@@ -365,9 +322,10 @@ impl Store {
         })
     }
 
-    /// Write every resident entry into a next-generation snapshot (temp
-    /// file + fsync + atomic rename), then drop the log and any old or
-    /// stale snapshots.
+    /// Write every resident entry into a next-generation snapshot by
+    /// atomic replace (its directory entry fsynced too), then drop the log
+    /// and any old or stale snapshots. An injected `cache.persist_io`
+    /// fault tears the temp file and leaves the previous generation.
     fn compact(&mut self, cache: &QueryCache) -> io::Result<SaveReport> {
         let next = self.generation + 1;
         let entries = cache.all_entries();
@@ -375,20 +333,8 @@ impl Store {
         for &(key, result) in &entries {
             buf.push_str(&encode_entry(key, result));
         }
-        let tmp = self.dir.join(format!("snap-{next}.bf4q.tmp"));
         let dst = self.dir.join(format!("snap-{next}.bf4q"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            if bf4_obs::fault::fire("cache.persist_io") {
-                let half = &buf.as_bytes()[..buf.len() / 2];
-                let _ = f.write_all(half);
-                let _ = f.sync_all();
-                return Err(injected_io("cache.persist_io"));
-            }
-            f.write_all(buf.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &dst)?;
+        durable::replace(&dst, buf.as_bytes(), Some("cache.persist_io"))?;
 
         // The new snapshot is durable; stale bytes can go. Removal
         // failures are non-fatal — they only waste disk.
@@ -490,6 +436,43 @@ mod tests {
         let (_, load) = Store::open(&dir, &warm2).unwrap();
         assert_eq!(load.loaded, 102);
         assert_eq!(warm2.get(0xdead_0001), Some(SatResult::Sat));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_after_torn_wal_tail_keeps_every_key() {
+        let dir = scratch("torn-wal");
+        let cache = filled_cache(100);
+        let (mut store, _) = Store::open(&dir, &cache).unwrap();
+        store.save(&cache).unwrap();
+        let warm = QueryCache::new(4096);
+        let (mut store, _) = Store::open(&dir, &warm).unwrap();
+        warm.insert(0xdead_0001, SatResult::Sat);
+        warm.insert(0xdead_0002, SatResult::Unsat);
+        assert_eq!(store.save(&warm).unwrap().appended, 2);
+
+        // A crash mid-append leaves half a record on the log's tail.
+        let wal = dir.join(LOG_NAME);
+        let record = encode_entry(0xdead_0003, SatResult::Sat);
+        let mut bytes = fs::read(&wal).unwrap();
+        bytes.extend_from_slice(&record.as_bytes()[..record.len() / 2]);
+        fs::write(&wal, &bytes).unwrap();
+
+        // The next session appends after it; no new record may be glued
+        // onto the torn bytes.
+        let next = QueryCache::new(4096);
+        let (mut store, load) = Store::open(&dir, &next).unwrap();
+        assert_eq!((load.loaded, load.corrupt_records), (102, 1));
+        next.insert(0xbeef_0001, SatResult::Unsat);
+        next.insert(0xbeef_0002, SatResult::Sat);
+        assert_eq!(store.save(&next).unwrap().appended, 2);
+
+        let last = QueryCache::new(4096);
+        let (_, load) = Store::open(&dir, &last).unwrap();
+        assert_eq!((load.loaded, load.corrupt_records), (104, 0));
+        for key in [0xdead_0001, 0xdead_0002, 0xbeef_0001, 0xbeef_0002] {
+            assert!(last.get(key).is_some(), "key {key:x} lost");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -166,13 +166,8 @@ pub fn slice_fingerprint(cfg: &Cfg, root: BlockId) -> u64 {
     }
 
     // FNV-1a over a canonical rendering.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |s: &str| {
-        for &byte in s.as_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = bf4_obs::durable::FNV_OFFSET;
+    let mut feed = |s: &str| h = bf4_obs::durable::fnv1a_update(h, s.as_bytes());
     let mut instrs: Vec<(BlockId, usize)> = info.needed_instrs.iter().copied().collect();
     instrs.sort_unstable();
     for (b, i) in instrs {

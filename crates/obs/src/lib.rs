@@ -26,9 +26,12 @@
 //!   (`BF4_FAULTS`), and every injected fault is itself traced;
 //! * [`expose`] — Prometheus text-exposition rendering (and the matching
 //!   parser/lint) of a metrics snapshot, served by `bf4d`;
+//! * [`durable`] — the one durable record log every on-disk store sits
+//!   on: FNV-1a sealed lines, per-line salvage, an append that heals a
+//!   torn tail, and atomic replace with a directory fsync;
 //! * [`tsdb`] — the persistent per-request time-series (`tsdb.bf4t`):
-//!   checksummed append-only records with per-line salvage and
-//!   size-capped ring compaction;
+//!   sealed append-only records with per-line salvage and size-capped
+//!   ring compaction;
 //! * [`slo`] — declarative service-level objectives evaluated over a
 //!   sliding window of that series;
 //! * [`ctx_tag`] — ambient per-thread context tags (request IDs) that
@@ -44,6 +47,7 @@
 //! (solver queries, CFG passes, scheduler jobs), keeping whole-corpus
 //! overhead under the 5% budget documented in DESIGN.md §9.
 
+pub mod durable;
 pub mod event;
 pub mod expose;
 pub mod fault;

@@ -1,28 +1,27 @@
 //! `tsdb.bf4t` — a persistent per-request time-series.
 //!
 //! The daemon appends one record per submission so latency / verdict /
-//! cache / degradation trends survive restarts. The file format follows
-//! the persistent query cache's WAL discipline (DESIGN.md §10), re-stated
-//! here because `bf4-obs` sits below `bf4-engine`:
+//! cache / degradation trends survive restarts. The bytes on disk are
+//! handled by [`crate::durable`], the same record log as the query cache
+//! and the shim journal (DESIGN.md §10):
 //!
-//! * one record per line: a JSON object (fixed key set, parsed with
-//!   [`crate::json`]) followed by ` #<16 lowercase hex>` — an FNV-1a
-//!   checksum of the payload. Verification is canonical-strict: anything
-//!   but exactly that shape is corrupt;
+//! * one record per sealed line: a JSON object (fixed key set, parsed
+//!   with [`crate::json`]) followed by ` #<16 lowercase hex>`;
 //! * loads salvage per line — a torn tail, a bit flip or a truncated
 //!   record drops that line (counted), never the file;
-//! * appends are plain `O_APPEND` writes (no fsync per request — the
-//!   checksum makes torn tails detectable, and losing the last samples
-//!   of a crashed daemon is acceptable for telemetry);
-//! * a size cap turns the file into a ring: when an append pushes the
-//!   file past `cap_bytes`, the newest records are rewritten into a
-//!   fresh file (tmp + fsync + atomic rename) down to half the cap, so
-//!   the series is bounded but always ends "now".
+//! * appends are plain `O_APPEND` writes that cut a torn tail off first
+//!   (no fsync per request — the checksum makes torn tails detectable,
+//!   and losing the last samples of a crashed daemon is acceptable for
+//!   telemetry);
+//! * a size cap turns the file into a ring: when an append would push
+//!   the file past `cap_bytes`, the newest records are rewritten down to
+//!   half the cap by an atomic replace, so the series is bounded but
+//!   always ends "now".
 
+use crate::durable::{self, Appender};
 use crate::json::{self, Value};
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// The time-series file name inside `--cache-dir`.
@@ -87,9 +86,8 @@ impl Sample {
         s
     }
 
-    /// Parse one checksummed line back; `None` for anything corrupt.
-    pub fn parse_line(line: &str) -> Option<Sample> {
-        let payload = verify_line(line)?;
+    /// Parse a record's JSON payload back; `None` for anything malformed.
+    pub fn parse(payload: &str) -> Option<Sample> {
         let v = json::parse(payload).ok()?;
         let obj = v.as_obj()?;
         if obj.len() != 12 {
@@ -116,31 +114,6 @@ impl Sample {
     }
 }
 
-/// FNV-1a over the payload bytes (same constants as the engine's WAL).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Checksum a payload into its on-disk line (with trailing newline).
-fn checksummed(payload: &str) -> String {
-    format!("{payload} #{:016x}\n", fnv1a(payload.as_bytes()))
-}
-
-/// Split a line into its payload iff the checksum verifies
-/// canonically (exactly 16 lowercase hex digits after ` #`).
-fn verify_line(line: &str) -> Option<&str> {
-    let (payload, sum) = line.rsplit_once(" #")?;
-    if sum.len() != 16 || !sum.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()) {
-        return None;
-    }
-    (u64::from_str_radix(sum, 16).ok()? == fnv1a(payload.as_bytes())).then_some(payload)
-}
-
 /// What a load salvaged.
 #[derive(Clone, Debug, Default)]
 pub struct LoadOutcome {
@@ -154,19 +127,13 @@ pub struct LoadOutcome {
 /// empty series; each bad line is dropped and counted, never fatal.
 pub fn load(path: &Path) -> io::Result<LoadOutcome> {
     let mut out = LoadOutcome::default();
-    let mut text = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_string(&mut text)?;
-        }
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
         Err(e) => return Err(e),
-    }
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        match Sample::parse_line(line) {
+    };
+    for line in durable::salvage(&bytes) {
+        match line.and_then(Sample::parse) {
             Some(s) => out.samples.push(s),
             None => out.corrupt_records += 1,
         }
@@ -203,57 +170,28 @@ impl Tsdb {
     /// Append one record; compacts the ring first when the file is at
     /// cap. Returns whether a compaction ran.
     pub fn append(&self, sample: &Sample) -> io::Result<bool> {
-        let mut line = checksummed(&sample.render());
-        let compacted = match std::fs::metadata(&self.path) {
-            Ok(m) if m.len() + line.len() as u64 > self.cap_bytes => {
-                self.compact()?;
-                true
-            }
-            _ => false,
-        };
-        // A crash can leave the file ending mid-line; gluing the new
-        // record onto that torn tail would corrupt *this* record too, so
-        // terminate the tail first (the fragment then salvages away as
-        // one corrupt line instead of two).
-        if !self.ends_with_newline()? {
-            line.insert(0, '\n');
+        let line = durable::seal(&sample.render());
+        let mut log = Appender::open(&self.path)?;
+        let compacted = log.len() + line.len() as u64 > self.cap_bytes;
+        if compacted {
+            drop(log);
+            self.compact()?;
+            log = Appender::open(&self.path)?;
         }
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        f.write_all(line.as_bytes())?;
+        log.append(line.as_bytes(), None)?;
         Ok(compacted)
     }
 
-    /// Whether the file is absent, empty, or ends in a record terminator.
-    fn ends_with_newline(&self) -> io::Result<bool> {
-        use std::io::Seek as _;
-        let mut f = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(true),
-            Err(e) => return Err(e),
-        };
-        let len = f.metadata()?.len();
-        if len == 0 {
-            return Ok(true);
-        }
-        f.seek(io::SeekFrom::End(-1))?;
-        let mut last = [0u8; 1];
-        f.read_exact(&mut last)?;
-        Ok(last[0] == b'\n')
-    }
-
     /// Rewrite the file keeping only the newest records that fit in half
-    /// the cap: tmp + fsync + atomic rename, so a crash mid-compaction
-    /// leaves either the old file or the new one, never a torn mix.
+    /// the cap, by an atomic replace: a crash mid-compaction leaves
+    /// either the old file or the new one, never a torn mix.
     fn compact(&self) -> io::Result<()> {
         let keep_budget = self.cap_bytes / 2;
         let loaded = load(&self.path)?;
         let mut kept: Vec<String> = Vec::new();
         let mut bytes = 0u64;
         for s in loaded.samples.iter().rev() {
-            let line = checksummed(&s.render());
+            let line = durable::seal(&s.render());
             if bytes + line.len() as u64 > keep_budget {
                 break;
             }
@@ -261,15 +199,7 @@ impl Tsdb {
             kept.push(line);
         }
         kept.reverse();
-        let tmp = self.path.with_extension("bf4t.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for line in &kept {
-                f.write_all(line.as_bytes())?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)
+        durable::replace(&self.path, kept.concat().as_bytes(), None)
     }
 }
 
@@ -326,7 +256,7 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         let idx = text.rfind("req-2").unwrap();
         text.replace_range(idx..idx + 5, "req-9");
-        text.push_str(&checksummed(&sample(3).render())[..20]);
+        text.push_str(&durable::seal(&sample(3).render())[..20]);
         std::fs::write(&path, &text).unwrap();
         let out = load(&path).unwrap();
         assert_eq!(out.corrupt_records, 2);
@@ -343,7 +273,7 @@ mod tests {
         let dir = std::env::temp_dir().join("bf4-tsdb-ring");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let line_len = checksummed(&sample(1).render()).len() as u64;
+        let line_len = durable::seal(&sample(1).render()).len() as u64;
         let cap = line_len * 6;
         let db = Tsdb::open(dir.join(TSDB_FILE), cap);
         let mut compactions = 0;
@@ -370,17 +300,17 @@ mod tests {
     fn escaped_program_names_survive_the_round_trip() {
         let mut s = sample(1);
         s.program = "we\"ird\nname\t∆".to_string();
-        let line = checksummed(&s.render());
-        assert_eq!(Sample::parse_line(line.trim_end()), Some(s));
+        let line = durable::seal(&s.render());
+        let payload = durable::unseal(line.trim_end()).unwrap();
+        assert_eq!(Sample::parse(payload), Some(s));
     }
 
     #[test]
     fn uppercase_hex_checksum_is_rejected_as_noncanonical() {
         let payload = sample(1).render();
-        let line = format!("{payload} #{:016X}", fnv1a(payload.as_bytes()));
-        if line.contains(|c: char| c.is_ascii_uppercase() && c.is_ascii_hexdigit()) {
-            assert_eq!(Sample::parse_line(&line), None);
-        }
-        assert!(Sample::parse_line(checksummed(&payload).trim_end()).is_some());
+        let line = format!("{payload} #{:016X}\n", durable::fnv1a(payload.as_bytes()));
+        let loaded: Vec<_> = durable::salvage(line.as_bytes()).collect();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[0].is_none(), line != durable::seal(&payload));
     }
 }

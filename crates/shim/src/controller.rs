@@ -7,6 +7,12 @@
 //! e.g. the §2.1 invalid-validity/non-zero-mask combination) so benchmarks
 //! exercise both the accept and the reject paths.
 //!
+//! A benign stream (no faulty rules, no injected faults) is refused
+//! nothing: deletes name only ids the shim granted (it numbers rules per
+//! table, counting accepted inserts), and a benign insert never repeats
+//! the keys and masks of a rule live in its table. A faulty rule needs a
+//! validity key to break, so only tables with one get faulty rules.
+//!
 //! A [`FaultInjection`] config extends the workload with the *other* ways
 //! a controller can misbehave — malformed arities, unknown tables and
 //! actions, duplicate inserts, deletes of ids that were never granted,
@@ -18,6 +24,10 @@ use bf4_core::specs::{AnnotationFile, TableDescriptor};
 use bf4_smt::Sort;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::{HashMap, HashSet};
+
+/// Fresh draws a benign insert gets before it falls back to a delete.
+const REDRAWS: usize = 8;
 
 /// Per-fault probabilities of the fault-injection mode. All zero (the
 /// default) disables injection; each field is the chance that one update
@@ -87,10 +97,13 @@ pub struct Controller {
     unsafe_defaults: Vec<(String, String)>,
     rng: StdRng,
     config: WorkloadConfig,
-    issued: Vec<(String, usize)>,
-    /// Recently issued benign inserts, replayed by the duplicate fault.
-    recent: Vec<(String, RuleUpdate)>,
-    next_id: usize,
+    /// Benign inserts still live, as `(table, rule id, rule)`: the
+    /// targets of deletes and of the duplicate fault.
+    live: Vec<(String, usize, RuleUpdate)>,
+    /// `(table, key values, key masks)` of every live benign insert.
+    live_keys: HashSet<(String, Vec<u128>, Vec<u128>)>,
+    /// Rule ids granted so far, per table.
+    granted: HashMap<String, usize>,
     counter: u64,
 }
 
@@ -102,9 +115,9 @@ impl Controller {
             unsafe_defaults: annotations.unsafe_defaults.clone(),
             rng: StdRng::seed_from_u64(config.seed),
             config,
-            issued: Vec::new(),
-            recent: Vec::new(),
-            next_id: 0,
+            live: Vec::new(),
+            live_keys: HashSet::new(),
+            granted: HashMap::new(),
             counter: 0,
         }
     }
@@ -119,27 +132,44 @@ impl Controller {
         if let Some(fault) = self.maybe_fault() {
             return fault;
         }
-        if !self.issued.is_empty() && self.rng.random::<f64>() < self.config.delete_fraction {
-            let i = (self.rng.random::<u64>() as usize) % self.issued.len();
-            let (table, rule_id) = self.issued.swap_remove(i);
-            return Update::Delete { table, rule_id };
+        if !self.live.is_empty() && self.rng.random::<f64>() < self.config.delete_fraction {
+            let i = (self.rng.random::<u64>() as usize) % self.live.len();
+            return self.delete_live(i);
         }
         let ti = (self.rng.random::<u64>() as usize) % self.tables.len().max(1);
         let desc = self.tables[ti].clone();
-        let faulty = self.rng.random::<f64>() < self.config.faulty_fraction;
-        let rule = self.generate_rule(&desc, faulty);
         let table = desc.qualified();
-        // Track for possible deletion (assume acceptance; the driver of the
-        // workload records real ids).
-        self.issued.push((table.clone(), self.next_id));
-        self.next_id += 1;
-        if !faulty {
-            if self.recent.len() >= 64 {
-                self.recent.remove(0);
-            }
-            self.recent.push((table.clone(), rule.clone()));
+        let faulty = self.rng.random::<f64>() < self.config.faulty_fraction
+            && desc.keys.iter().any(|k| k.source.ends_with(".isValid()"));
+        let mut rule = self.generate_rule(&desc, faulty);
+        if faulty {
+            // Meant to be refused: granted no id, never deleted.
+            return Update::Insert { table, rule };
         }
+        // The shim refuses a rule whose keys and masks are live in its
+        // table: re-draw, and when the table's key space yields nothing
+        // fresh, delete the newest live rule instead.
+        for _ in 0..REDRAWS {
+            if !self.live_keys.contains(&live_key(&table, &rule)) {
+                break;
+            }
+            rule = self.generate_rule(&desc, false);
+        }
+        if self.live_keys.contains(&live_key(&table, &rule)) {
+            return self.delete_live(self.live.len() - 1);
+        }
+        let id = self.granted.entry(table.clone()).or_default();
+        self.live.push((table.clone(), *id, rule.clone()));
+        *id += 1;
+        self.live_keys.insert(live_key(&table, &rule));
         Update::Insert { table, rule }
+    }
+
+    /// Delete the `i`-th live benign rule.
+    fn delete_live(&mut self, i: usize) -> Update {
+        let (table, rule_id, rule) = self.live.swap_remove(i);
+        self.live_keys.remove(&live_key(&table, &rule));
+        Update::Delete { table, rule_id }
     }
 
     /// Roll the fault dice; `Some` replaces this slot with an injected
@@ -190,7 +220,7 @@ impl Controller {
             });
         }
         if hit(f.duplicate) {
-            if let Some((table, rule)) = self.recent.last().cloned() {
+            if let Some((table, _, rule)) = self.live.last().cloned() {
                 return Some(Update::Insert { table, rule });
             }
         }
@@ -264,6 +294,11 @@ impl Controller {
             params,
         }
     }
+}
+
+/// What the shim's duplicate check compares: table, key values, masks.
+fn live_key(table: &str, rule: &RuleUpdate) -> (String, Vec<u128>, Vec<u128>) {
+    (table.to_string(), rule.key_values.clone(), rule.key_masks.clone())
 }
 
 #[cfg(test)]
@@ -344,6 +379,37 @@ mod tests {
                 Ok(_) | Err(crate::ShimError::Duplicate) => {}
                 Err(e) => panic!("benign workload produced {e}"),
             }
+        }
+    }
+
+    #[test]
+    fn benign_stream_is_refused_nothing() {
+        for (name, source) in [
+            ("simple_nat", include_str!("../../corpus/programs/simple_nat.p4")),
+            ("fabric_switch", include_str!("../../corpus/programs/fabric_switch.p4")),
+        ] {
+            let report = verify(source, &VerifyOptions::default()).unwrap();
+            let mut shim = Shim::new(&report.annotations);
+            let mut ctrl = Controller::new(
+                &report.annotations,
+                WorkloadConfig {
+                    updates: 3200,
+                    faulty_fraction: 0.0,
+                    ..WorkloadConfig::default()
+                },
+            );
+            let (mut inserts, mut deletes) = (0, 0);
+            for u in ctrl.workload() {
+                match &u {
+                    Update::Insert { .. } => inserts += 1,
+                    Update::Delete { .. } => deletes += 1,
+                    Update::SetDefault { .. } => {}
+                }
+                if let Err(e) = shim.apply(&u) {
+                    panic!("{name}: benign update refused ({e}): {u:?}");
+                }
+            }
+            assert!(inserts > 2000 && deletes > 100, "{name}: {inserts} inserts, {deletes} deletes");
         }
     }
 

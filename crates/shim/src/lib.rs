@@ -28,7 +28,6 @@ pub mod journal;
 pub mod shard;
 pub mod stats;
 
-pub use journal::{Journal, JournaledShim, RecoveryReport};
 pub use shard::{Batch, BatchDecision, BatchRecovery, BatchReject, ShardedShim, ShimConfig};
 
 use bf4_core::specs::{AnnotationFile, TableDescriptor, TableSpec};
@@ -645,7 +644,7 @@ impl Shim {
                 );
             }
         }
-        journal::fnv1a(render.as_bytes())
+        bf4_obs::durable::fnv1a(render.as_bytes())
     }
 
     /// Audit the shadow state against every inferred assertion: each live
@@ -899,8 +898,8 @@ mod tests {
     #[test]
     fn insertions_emit_shim_spans() {
         let (_, report) = nat_shim();
-        let mut shim = JournaledShim::new(&report.annotations);
-        let table = nat_table(shim.shim());
+        let mut shim = Shim::new(&report.annotations);
+        let table = nat_table(&shim);
         let rule = RuleUpdate {
             key_values: vec![1, 0x0a000001],
             key_masks: vec![u128::MAX, 0xffffffff],
@@ -935,8 +934,6 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| r.name == "apply" && outcome(r).as_deref() == Some("rejected")));
-        // Accepted updates are journaled under their own span.
-        assert!(records.iter().any(|r| r.name == "journal_append"));
     }
 
     #[test]

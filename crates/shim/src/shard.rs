@@ -9,14 +9,14 @@
 //!   recording how to revert it; the first rejection reverts the whole
 //!   batch. A batch's verdicts are therefore the ones the monolithic shim
 //!   gives the same updates one at a time, by construction.
-//! * **Group commit.** An accepted batch appends one checksummed journal
-//!   frame (`B`/entries/`C`, §10 FNV-1a idiom) with a *single* fsync and
-//!   is acknowledged only after the fsync returns. The fsync runs under
-//!   the lock, so no later batch validates against (or journals after)
-//!   state that is not durable yet. Recovery replays committed frames
-//!   all-or-nothing and drops a torn trailing frame whole, so an
-//!   acknowledged batch is never lost and a never-acknowledged one never
-//!   resurfaces split.
+//! * **Group commit.** An accepted batch appends one journal frame
+//!   ([`crate::journal`]: sealed lines of [`bf4_obs::durable`]) with a
+//!   *single* fsync and is acknowledged only after the fsync returns. The
+//!   fsync runs under the lock, so no later batch validates against (or
+//!   journals after) state that is not durable yet. Recovery replays
+//!   committed frames all-or-nothing and drops a torn trailing frame
+//!   whole, so an acknowledged batch is never lost and a
+//!   never-acknowledged one never resurfaces split.
 //!
 //! Overload degrades by shedding, not queueing: at most
 //! [`ShimConfig::max_inflight`] batches may be past admission at once;
@@ -28,12 +28,13 @@
 //! mid-batch (the batch rolls back and rejects conservatively),
 //! `shim.batch_torn` tears the group-commit write half-way (the batch is
 //! never acknowledged; the file heals on the next append),
-//! `shim.overload` forces shedding.
+//! `shim.overload` forces shedding, and `shim.journal_fsync` tears the
+//! recovery rewrite before its fsync (the old journal stays in place).
 
 use crate::journal::{encode_frame, parse_frames, Frame};
 use crate::{Shim, ShimError, Undo, Update};
 use bf4_core::specs::AnnotationFile;
-use std::io::{Seek, Write};
+use bf4_obs::durable::{self, Appender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -47,6 +48,8 @@ pub struct ShimConfig {
     /// with [`ShimError::Overloaded`].
     pub max_inflight: usize,
     /// Journal file. `None` keeps the journal in memory only (tests).
+    /// Starting or recovering a shim replaces the file atomically, so
+    /// this names a regular file.
     pub journal_path: Option<PathBuf>,
 }
 
@@ -153,29 +156,39 @@ struct AtomicStats {
 }
 
 /// The group-commit journal: an append-only frame stream, optionally
-/// backed by a file. `buf` mirrors exactly the bytes that are durable
-/// (or would be, in memory-only mode); a failed/torn append marks the
-/// file dirty and the next append heals it by truncating back to `buf`.
+/// backed by a file held open. `buf` mirrors exactly the bytes that are
+/// durable (or would be, in memory-only mode); the file's [`Appender`]
+/// cuts a failed or torn append off before the next one lands.
 struct GroupJournal {
-    file: Option<std::fs::File>,
+    file: Option<Appender>,
     buf: Vec<u8>,
-    dirty: bool,
     next_seq: u64,
     fsyncs: u64,
     fsync_amortized: u64,
 }
 
 impl GroupJournal {
-    fn open(path: Option<&Path>) -> std::io::Result<GroupJournal> {
+    /// A journal holding the whole frames `buf`, next appending frame
+    /// `next_seq`. A file is first made to hold exactly `buf` by atomic
+    /// replace, directory fsync included (the caller's fault `site` tears
+    /// that rewrite and leaves the old file), then held open for appends.
+    fn open(
+        path: Option<&Path>,
+        buf: Vec<u8>,
+        next_seq: u64,
+        site: Option<&'static str>,
+    ) -> std::io::Result<GroupJournal> {
         let file = match path {
-            Some(p) => Some(std::fs::File::create(p)?),
+            Some(path) => {
+                durable::replace(path, &buf, site)?;
+                Some(Appender::open(path)?)
+            }
             None => None,
         };
         Ok(GroupJournal {
             file,
-            buf: Vec::new(),
-            dirty: false,
-            next_seq: 0,
+            buf,
+            next_seq,
             fsyncs: 0,
             fsync_amortized: 0,
         })
@@ -185,34 +198,17 @@ impl GroupJournal {
     /// fsync once. On any error nothing is considered durable: the caller
     /// rolls the batch back and the file is healed before the next append.
     fn append(&mut self, record: &[u8], updates: usize) -> std::io::Result<()> {
-        if let Some(f) = self.file.as_mut() {
-            if self.dirty {
-                f.set_len(self.buf.len() as u64)?;
-                f.seek(std::io::SeekFrom::Start(self.buf.len() as u64))?;
-                self.dirty = false;
-            }
-            // Chaos hook: tear the group-commit write half-way — the
+        if let Some(log) = self.file.as_mut() {
+            // Chaos hook `shim.batch_torn`: the write tears half-way — the
             // on-disk state a crash mid-commit produces. The frame's
             // trailer never lands, so recovery drops the batch whole.
-            if bf4_obs::fault::fire("shim.batch_torn") {
-                let _ = f.write_all(&record[..record.len() / 2]);
-                let _ = f.sync_all();
-                self.dirty = true;
-                return Err(std::io::Error::other("injected fault: shim.batch_torn"));
-            }
-            if let Err(e) = f.write_all(record) {
-                self.dirty = true;
-                return Err(e);
-            }
+            log.append(record, Some("shim.batch_torn"))?;
             let mut sp = bf4_obs::span("shim", "journal_fsync");
             if sp.is_active() {
                 sp.add_tag("updates", updates.to_string());
             }
             let t0 = Instant::now();
-            if let Err(e) = f.sync_all() {
-                self.dirty = true;
-                return Err(e);
-            }
+            log.sync()?;
             bf4_obs::hist_record("shim.journal_fsync", t0.elapsed());
         } else if bf4_obs::fault::fire("shim.batch_torn") {
             return Err(std::io::Error::other("injected fault: shim.batch_torn"));
@@ -244,9 +240,10 @@ pub struct ShardedShim {
 }
 
 impl ShardedShim {
-    /// Build a batched shim from an annotation file.
+    /// Build a batched shim from an annotation file, starting its journal
+    /// file (if configured) empty.
     pub fn new(annotations: &AnnotationFile, config: &ShimConfig) -> std::io::Result<ShardedShim> {
-        let journal = GroupJournal::open(config.journal_path.as_deref())?;
+        let journal = GroupJournal::open(config.journal_path.as_deref(), Vec::new(), 0, None)?;
         Ok(ShardedShim::with_state(
             Shim::new(annotations),
             journal,
@@ -369,11 +366,18 @@ impl ShardedShim {
     }
 
     /// Rebuild a batched shim from journal bytes after a crash. Committed
-    /// frames replay all-or-nothing (idempotently, like
-    /// [`JournaledShim::recover`](crate::JournaledShim::recover)); a torn
-    /// trailing frame — a batch that was never acknowledged — is dropped
-    /// whole. The recovered shim continues the same journal (the file, if
-    /// configured, is rewritten to the valid prefix).
+    /// frames replay all-or-nothing and idempotently: an insert already
+    /// stored at its recorded id, a `Duplicate` and a `NoSuchRule` count
+    /// as skipped, so a doubled journal converges to the same state; any
+    /// other outcome that contradicts the journal counts as mismatched. A
+    /// torn trailing frame — a batch that was never acknowledged — is
+    /// dropped whole.
+    ///
+    /// The recovered shim continues the same journal. A configured file
+    /// is rewritten to the valid prefix by atomic replace, so a crash (or
+    /// the `shim.journal_fsync` fault) mid-rewrite leaves the old journal
+    /// with every acknowledged frame in place; the file is then held open
+    /// for appends.
     pub fn recover(
         annotations: &AnnotationFile,
         journal_bytes: &[u8],
@@ -410,13 +414,12 @@ impl ShardedShim {
                 }
             }
         }
-        let mut journal = GroupJournal::open(config.journal_path.as_deref())?;
-        journal.buf = journal_bytes[..parsed.valid_len].to_vec();
-        journal.next_seq = report.last_seq.map_or(0, |s| s + 1);
-        if let Some(f) = journal.file.as_mut() {
-            f.write_all(&journal.buf)?;
-            f.sync_all()?;
-        }
+        let journal = GroupJournal::open(
+            config.journal_path.as_deref(),
+            journal_bytes[..parsed.valid_len].to_vec(),
+            report.last_seq.map_or(0, |s| s + 1),
+            Some("shim.journal_fsync"),
+        )?;
         Ok((ShardedShim::with_state(shim, journal, config), report))
     }
 

@@ -1,21 +1,20 @@
-//! Satellite: an fsync error injected mid-`persist`, then reopen.
+//! The recovery rewrite under an injected fault: `shim.journal_fsync`
+//! tears the rewrite of a journal onto its own path before its fsync.
 //!
-//! Proves the journal's two crash-safety promises under a *failed*
-//! persist that left a torn file behind:
-//!
-//! * **no torn record is replayed** — recovery salvages exactly the valid
-//!   prefix, with zero mismatches;
-//! * **no acknowledged rule is lost** — the in-memory journal still holds
-//!   every acknowledged update, so retrying the persist (the fault is a
-//!   one-shot) lands the full state, and a reopen from that file
-//!   reconstructs a state digest identical to the original shim's.
+//! Recovery rewrites the journal file to its valid prefix. It must never
+//! leave fewer acknowledged frames on disk than were there when it
+//! started: the torn rewrite fails the call, the file still holds every
+//! acknowledged frame, and a second recovery brings them all back with
+//! the live shim's state digest.
 //!
 //! Own integration-test binary: the fault plan is process-global.
 
 use bf4_core::driver::{verify, VerifyOptions};
 use bf4_obs::FaultPlan;
+use bf4_shim::campaign::chunk;
 use bf4_shim::controller::{Controller, WorkloadConfig};
-use bf4_shim::journal::JournaledShim;
+use bf4_shim::journal::parse_frames;
+use bf4_shim::{ShardedShim, ShimConfig};
 
 #[test]
 fn fsync_fault_mid_persist_then_reopen_loses_nothing() {
@@ -25,7 +24,7 @@ fn fsync_fault_mid_persist_then_reopen_loses_nothing() {
     let updates = Controller::new(
         &annotations,
         WorkloadConfig {
-            updates: 60,
+            updates: 120,
             faulty_fraction: 0.2,
             delete_fraction: 0.2,
             seed: 5,
@@ -33,89 +32,47 @@ fn fsync_fault_mid_persist_then_reopen_loses_nothing() {
         },
     )
     .workload();
+    let path = std::env::temp_dir().join(format!("bf4-journal-fault-{}.jnl", std::process::id()));
+    let config = ShimConfig {
+        max_inflight: usize::MAX,
+        journal_path: Some(path.clone()),
+    };
 
-    let mut shim = JournaledShim::new(&annotations);
-    let mut accepted = 0usize;
-    for u in &updates {
-        if shim.apply(u).is_ok() {
-            accepted += 1;
-        }
+    let shim = ShardedShim::new(&annotations, &config).unwrap();
+    for b in chunk(updates, 3) {
+        let _ = shim.apply_batch(&b);
     }
-    assert!(accepted > 10, "workload produced too few accepted updates");
+    let acked = shim.stats().batches_acked;
+    assert!(acked > 10, "workload acknowledged too few batches");
+    let on_disk = std::fs::read(&path).unwrap();
+    assert_eq!(on_disk, shim.journal_bytes());
 
-    let path = std::env::temp_dir().join(format!(
-        "bf4-journal-fault-{}.jnl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-
-    // First persist: the injected fsync fault tears the write midway.
+    // A restart recovers onto the journal's own path, and the rewrite
+    // tears before its fsync.
     bf4_obs::fault::install(FaultPlan::parse("shim.journal_fsync=@1").unwrap());
-    let err = shim.persist_err(&path);
-    assert!(
-        err.to_string().contains("injected"),
-        "persist must surface the injected error, got: {err}"
+    let err = ShardedShim::recover(&annotations, &on_disk, &config)
+        .err()
+        .expect("the torn rewrite must fail the recovery");
+    assert!(err.to_string().contains("injected"), "got: {err}");
+    let after = std::fs::read(&path).unwrap();
+    assert_eq!(
+        parse_frames(&after).frames.len() as u64,
+        acked,
+        "a torn rewrite must leave every acknowledged frame on disk"
     );
-    let torn = std::fs::read(&path).unwrap();
-    assert!(
-        !torn.is_empty() && torn.len() < shim.journal().bytes().len(),
-        "the torn file must hold a strict prefix of the journal"
-    );
+    assert!(after == on_disk, "the old journal must stay byte-identical");
 
-    // Reopen from the torn file: a clean prefix, nothing invented.
-    let (recovered, report) = JournaledShim::recover(&annotations, &torn);
-    assert_eq!(report.mismatched, 0, "no torn record may be replayed");
-    assert!(
-        report.truncated_tail,
-        "the cut record must be detected and dropped"
-    );
-    assert!(
-        report.replayed + report.skipped < accepted,
-        "the torn file cannot already hold every acknowledged update"
-    );
-    assert!(recovered.journal().bytes().len() <= torn.len());
-
-    // The acknowledged state was never lost: it lives in the original
-    // shim's journal, and the retry (fault exhausted after @1) persists
-    // it all. A reopen then reconstructs the exact same shadow state.
-    shim.persist_ok(&path);
+    // Recover again (the fault was a one-shot): every frame comes back.
+    let (recovered, rec) =
+        ShardedShim::recover(&annotations, &std::fs::read(&path).unwrap(), &config).unwrap();
     let stats = bf4_obs::fault::clear();
     let site = stats.iter().find(|s| s.site == "shim.journal_fsync").unwrap();
     assert_eq!((site.fires, site.hits), (1, 2));
-
-    let full = std::fs::read(&path).unwrap();
-    let (reopened, report) = JournaledShim::recover(&annotations, &full);
-    assert_eq!(report.mismatched, 0);
-    assert!(!report.truncated_tail);
-    assert_eq!(
-        report.replayed + report.skipped,
-        accepted,
-        "every acknowledged update must survive the failed persist + retry"
-    );
-    assert_eq!(
-        reopened.shim().state_digest(),
-        shim.shim().state_digest(),
-        "reopened shadow state must match the original"
-    );
+    assert_eq!(rec.frames as u64, acked);
+    assert_eq!(rec.mismatched, 0);
+    assert!(!rec.torn_tail);
+    assert_eq!(recovered.state_digest(), shim.state_digest());
+    assert!(std::fs::read(&path).unwrap() == on_disk);
     let _ = std::fs::remove_file(&path);
-}
-
-/// Small helpers keeping the test body readable.
-trait PersistExt {
-    fn persist_err(&self, path: &std::path::Path) -> std::io::Error;
-    fn persist_ok(&self, path: &std::path::Path);
-}
-
-impl PersistExt for JournaledShim {
-    fn persist_err(&self, path: &std::path::Path) -> std::io::Error {
-        self.journal()
-            .persist(path)
-            .expect_err("armed fsync fault must fail the persist")
-    }
-
-    fn persist_ok(&self, path: &std::path::Path) {
-        self.journal()
-            .persist(path)
-            .expect("retry after the one-shot fault must succeed");
-    }
+    let _ = std::fs::remove_file(path.with_extension("jnl.tmp"));
 }
